@@ -26,11 +26,12 @@ makespan the overlapped pipeline exists to protect.
 
 from __future__ import annotations
 
+import struct
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..mpi.matching import ANY_SOURCE
+from ..mpi.datatypes import LONG
 from ..statesave import serializer
 from .modes import ProtocolError
 
@@ -38,6 +39,10 @@ from .modes import ProtocolError
 TAG_CKPT_INITIATED = 1
 TAG_EARLY_REGISTRY = 2
 TAG_RECOVERY = 3
+
+#: Checkpoint-Initiated payload: ``(line, sent count)`` as two native
+#: int64s, the bytes of ``np.array([line, count], dtype=np.int64)``
+_INITIATED = struct.Struct("=qq")
 
 
 class ControlPlane:
@@ -52,47 +57,49 @@ class ControlPlane:
 
     # -- Checkpoint-Initiated -------------------------------------------------
     def announce_checkpoint(self, line: int, sent_counts: List[int]) -> None:
-        """Send Checkpoint-Initiated for ``line`` to every other rank."""
-        for q in range(self.nprocs):
-            if q == self.rank:
-                continue
-            payload = np.array([line, sent_counts[q]], dtype=np.int64)
-            self.comm.Send(payload, dest=q, tag=TAG_CKPT_INITIATED)
+        """Send Checkpoint-Initiated for ``line`` to every other rank.
+
+        The P-1 envelopes go out through one multicast: each is its own
+        MPI call on the send side (call overhead, fault checks,
+        timestamps), in rank order; only the per-message set-up is
+        shared.
+        """
+        pack = _INITIATED.pack
+        self.comm.multicast_packed(
+            ((q, pack(line, sent_counts[q]))
+             for q in range(self.nprocs) if q != self.rank),
+            TAG_CKPT_INITIATED, count=2, type_name=LONG.name)
 
     def poll(self, on_initiated: Callable[[int, int, int], None]) -> int:
         """Drain pending Checkpoint-Initiated messages.
 
-        Calls ``on_initiated(line, sender, sent_count)`` for each; returns
-        the number processed.
+        Calls ``on_initiated(line, sender, sent_count)`` for each, oldest
+        arrival first; returns the number processed.
         """
-        n = 0
-        while True:
-            # Polled on every intercepted call: the O(1) context check
-            # short-circuits the (wildcard) drain in the common no-traffic
-            # case.  The drain itself is out-of-band — no call overhead,
-            # no availability sync — because it models the PSC-style
-            # daemon consuming control traffic outside the application:
-            # charging it here would stamp the drain's backend-dependent
-            # physical delivery point into the virtual clock (the same
-            # argument that keeps committed-floor GC off the control
-            # plane, see the module docstring).
-            if not self.comm.has_pending():
-                return n
-            buf = np.empty(2, dtype=np.int64)
-            st = self.comm.recv_out_of_band(buf, source=ANY_SOURCE,
-                                            tag=TAG_CKPT_INITIATED)
-            if st is None:
-                return n
-            line, count = int(buf[0]), int(buf[1])
-            peers = self.initiated.setdefault(line, {})
-            if st.source in peers:
+        # Polled on every intercepted call: the O(1) context check
+        # short-circuits the drain in the common no-traffic case.  The
+        # drain itself is out-of-band — no call overhead, no availability
+        # sync — because it models the PSC-style daemon consuming control
+        # traffic outside the application: charging it here would stamp
+        # the drain's backend-dependent physical delivery point into the
+        # virtual clock (the same argument that keeps committed-floor GC
+        # off the control plane, see the module docstring).
+        if not self.comm.has_pending():
+            return 0
+        initiated = self.initiated
+
+        def take(sender: int, payload: bytes) -> None:
+            line, count = _INITIATED.unpack(payload)
+            peers = initiated.setdefault(line, {})
+            if sender in peers:
                 raise ProtocolError(
                     f"duplicate Checkpoint-Initiated for line {line} from "
-                    f"rank {st.source}"
+                    f"rank {sender}"
                 )
-            peers[st.source] = count
-            on_initiated(line, st.source, count)
-            n += 1
+            peers[sender] = count
+            on_initiated(line, sender, count)
+
+        return self.comm.drain_out_of_band(TAG_CKPT_INITIATED, take)
 
     def all_started(self, line: int) -> bool:
         """Has every *other* rank announced checkpoint ``line``?"""
@@ -152,7 +159,7 @@ class ControlPlane:
             if q == self.rank:
                 continue
             if sizes[q] == 0:
-                entries = serializer.loads(serializer.dumps([]))
+                entries = []
             else:
                 buf = np.empty(int(sizes[q]), dtype=np.uint8)
                 self.comm.Recv(buf, source=q, tag=TAG_EARLY_REGISTRY)

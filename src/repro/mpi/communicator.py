@@ -17,7 +17,7 @@ through an engine-global registry.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -147,6 +147,22 @@ class Communicator:
                        piggyback=piggyback, system=system)
         ctx.post_envelope(env)
 
+    def multicast_packed(self, sends: Iterable[Tuple[int, bytes]], tag: int,
+                         count: int, type_name: str) -> None:
+        """Send equal-size pre-packed payloads, one per ``(dest, payload)``.
+
+        Envelope for envelope the same as a :meth:`send_packed` per
+        destination, in order (see :meth:`RankContext.multicast`); the
+        signature and the checks of the communicator and tag are shared.
+        """
+        self._check()
+        self._check_tag(tag)
+        sig = MessageSignature(source=self.rank, tag=tag,
+                               context_id=self.context_id)
+        world = self._world_rank
+        self._ctx.multicast(sig, ((world(q), payload) for q, payload in sends),
+                            count, type_name)
+
     def Isend(self, buf, dest: int, tag: int = 0, datatype: Optional[Datatype] = None,
               count: Optional[int] = None, piggyback=None) -> Request:
         """Non-blocking send; complete immediately (eager buffering)."""
@@ -244,6 +260,23 @@ class Communicator:
         dt.unpack(env.payload, buf, count=elems)
         return Status(source=env.source, tag=env.tag, count=elems,
                       nbytes=env.nbytes)
+
+    def drain_out_of_band(self, tag: int,
+                          on_message: Callable[[int, bytes], None]) -> int:
+        """Consume every pending message with ``tag``, out of band.
+
+        The batch form of :meth:`recv_out_of_band` with ``ANY_SOURCE``:
+        calls ``on_message(source, payload)`` per message, oldest arrival
+        first, and charges nothing to virtual time.  The call ends with
+        one failed-check fairness point (``nb_poll``), the probe that
+        finds nothing left.  Returns the number of messages consumed.
+        """
+        self._check()
+        envs = self._ctx.mailbox.drain_pending(self.context_id, tag)
+        for env in envs:
+            on_message(env.source, env.payload)
+        self._ctx.nb_poll()
+        return len(envs)
 
     def Iprobe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG,
                context_id: Optional[int] = None) -> Tuple[bool, Optional[Status]]:

@@ -74,14 +74,14 @@ import threading
 import time as _time
 import traceback
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from .backends import BACKENDS, backend_for, resolve_backend, \
     warn_unavailable  # noqa: F401  (resolve_backend re-exported here)
 from .errors import DeadlockError, JobAborted, ProcessFailure
 from .faults import FaultPlan, FaultSpec
 from .matching import Mailbox
-from .message import Envelope
+from .message import Envelope, MessageSignature
 from .scheduler import CooperativeScheduler
 from .timemodel import MachineModel, RankClock, TESTING
 
@@ -301,6 +301,40 @@ class RankContext:
         self.sent_count += 1
         self.sent_bytes += env.nbytes
         self.engine.mailboxes[env.dest].deliver(env)
+
+    def multicast(self, sig: MessageSignature,
+                  sends: Iterable[Tuple[int, bytes]], count: int,
+                  type_name: str) -> None:
+        """Post one envelope per ``(world dest, payload)``, in order.
+
+        Each destination is its own MPI call, exactly as a ``send_packed``
+        per destination would make it: :meth:`enter_mpi_call` (op count,
+        call overhead, due-fault and fault-plan checks, so a kill lands
+        after the same envelope), then its own timestamps, sequence
+        number, traffic counts and delivery through the destination's
+        mailbox.  Only the signature and the transfer time are shared,
+        so every payload must have the same size; there is no piggyback.
+        """
+        mailboxes = self.engine.mailboxes
+        seqs = self._send_seq
+        clock = self.clock
+        cid = sig.context_id
+        nbytes = transfer = None
+        for dest, payload in sends:
+            self.enter_mpi_call()
+            if nbytes is None:
+                nbytes = len(payload)
+                transfer = self.machine.transfer_time(nbytes)
+            now = clock.now
+            key = (dest, cid)
+            seq = seqs.get(key, 0)
+            seqs[key] = seq + 1
+            self.sent_count += 1
+            self.sent_bytes += nbytes
+            mailboxes[dest].deliver(Envelope(
+                signature=sig, payload=payload, count=count,
+                type_name=type_name, dest=dest, seq=seq, send_time=now,
+                avail_time=now + transfer))
 
 
 @dataclass

@@ -47,6 +47,7 @@ from __future__ import annotations
 import threading
 from collections import deque
 from contextlib import nullcontext
+from operator import itemgetter
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from .errors import JobAborted, TruncationError
@@ -173,27 +174,32 @@ class Mailbox:
         """Hand an envelope to this rank; matches a posted receive if any."""
         with self._mutex:
             self.delivered_count += 1
-            self.delivered_bytes += env.nbytes
-            pr = self._take_posted(env)
+            self.delivered_bytes += len(env.payload)
+            sig = env.signature
+            ctx = sig.context_id
+            key = (ctx, sig.source, sig.tag)
+            pr = self._take_posted(env, key)
             if pr is not None:
                 pr._match(env)
                 self._wake()
                 return
-            key = (env.context_id, env.source, env.tag)
             bucket = self._pending.get(key)
             if bucket is None:
                 bucket = self._pending[key] = deque()
-                self._ctx_sigs.setdefault(env.context_id, set()).add(key)
+                sigs = self._ctx_sigs.get(ctx)
+                if sigs is None:
+                    sigs = self._ctx_sigs[ctx] = set()
+                sigs.add(key)
             bucket.append((self._arrival_seq, env))
             self._arrival_seq += 1
             self._pending_total += 1
-            ctx = env.context_id
             self._pending_by_ctx[ctx] = self._pending_by_ctx.get(ctx, 0) + 1
             self._wake()
 
-    def _take_posted(self, env: Envelope) -> Optional[PostedRecv]:
-        """Pop the earliest-posted receive accepting ``env``, if any."""
-        key = (env.context_id, env.source, env.tag)
+    def _take_posted(self, env: Envelope,
+                     key: Signature) -> Optional[PostedRecv]:
+        """Pop the earliest-posted receive accepting ``env`` (whose
+        signature is ``key``), if any."""
         bucket = self._posted_exact.get(key)
         exact = bucket[0] if bucket else None
         wild: Optional[PostedRecv] = None
@@ -348,6 +354,37 @@ class Mailbox:
             if key is None:
                 return None
             return self._pop_pending(key)
+
+    def drain_pending(self, context_id: int, tag: int) -> List[Envelope]:
+        """Pop every pending envelope on ``context_id`` with ``tag``.
+
+        The batch form of ``pop_pending(context_id, ANY_SOURCE, tag)``:
+        the result, oldest arrival first, is exactly the sequence that
+        repeated pops would return, taken in one pass over the context's
+        buckets instead of one bucket scan per envelope.  Envelopes with
+        other tags and posted receives are left alone.
+        """
+        with self._mutex:
+            sigs = self._ctx_sigs.get(context_id)
+            keys = [key for key in sigs if key[2] == tag] if sigs else ()
+            if not keys:
+                return []
+            stamped: List[Tuple[int, Envelope]] = []
+            for key in keys:
+                stamped.extend(self._pending.pop(key))
+            sigs.difference_update(keys)
+            if not sigs:
+                del self._ctx_sigs[context_id]
+            n = len(stamped)
+            self._pending_total -= n
+            remaining = self._pending_by_ctx[context_id] - n
+            if remaining:
+                self._pending_by_ctx[context_id] = remaining
+            else:
+                del self._pending_by_ctx[context_id]
+            # buckets are each in arrival order; stamps are unique
+            stamped.sort(key=itemgetter(0))
+            return [env for _, env in stamped]
 
     # -- probing ---------------------------------------------------------------
     def probe_pending(self, context_id: int, source: int, tag: int) -> Optional[Envelope]:

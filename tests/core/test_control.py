@@ -83,3 +83,34 @@ def test_exchange_with_no_entries_everywhere():
 
     result = run(4, main, wall_timeout=30)
     assert all(r == [] for r in result.returns)
+
+
+def test_initiated_is_pruned_once_a_line_commits(monkeypatch):
+    """``commit_checkpoint`` forgets the committed line, so the
+    per-line announcement table holds at most the open line and the
+    next one, however many checkpoints the job takes."""
+    from repro.apps import APPS
+    from repro.core import C3Config, run_c3, run_original
+    from repro.harness.scaling import SCALING_APPS
+    from repro.mpi.timemodel import LEMIEUX
+
+    def ring(ctx):
+        return APPS["ring"](ctx, **SCALING_APPS["ring"])
+
+    makespan = run_original(ring, 8, machine=LEMIEUX).virtual_time
+    peak = {}
+    poll = ControlPlane.poll
+
+    def recording_poll(self, on_initiated):
+        n = poll(self, on_initiated)
+        peak[self.rank] = max(peak.get(self.rank, 0), len(self.initiated))
+        return n
+
+    monkeypatch.setattr(ControlPlane, "poll", recording_poll)
+    config = C3Config(checkpoint_interval=makespan * 0.45 / 5,
+                      save_to_disk=True, overlap=False, max_checkpoints=5)
+    result, stats = run_c3(ring, 8, machine=LEMIEUX, config=config)
+    result.raise_errors()
+    assert [s.checkpoints_committed for s in stats] == [5] * 8
+    assert sorted(peak) == list(range(8))
+    assert max(peak.values()) <= 2

@@ -233,6 +233,93 @@ class TestWildcardOrdering:
         assert mb.posted_count() == 0
 
 
+class TestDrainPending:
+    """``drain_pending``: every pending envelope of one (context, tag),
+    oldest arrival first, in one call."""
+
+    def test_arrival_order_across_interleaved_sources(self):
+        mb = mailbox()
+        order = [(3, b"a"), (1, b"b"), (3, b"c"), (2, b"d"), (1, b"e"),
+                 (2, b"f")]
+        for source, payload in order:
+            mb.deliver(env(source, 1, 0, payload))
+        got = mb.drain_pending(0, 1)
+        assert [(e.source, e.payload) for e in got] == order
+
+    def test_other_tags_and_posted_receives_untouched(self):
+        mb = mailbox()
+        exact = PostedRecv(0, 4, 1, 100)   # waits for a source that never sends
+        mb.post(exact)
+        mb.deliver(env(1, 1, 0, b"a"))
+        mb.deliver(env(1, 2, 0, b"registry"))   # other tag, same context
+        mb.deliver(env(2, 1, 0, b"b"))
+        mb.deliver(env(2, 1, 5, b"other context"))
+        assert [e.payload for e in mb.drain_pending(0, 1)] == [b"a", b"b"]
+        assert not exact.matched
+        assert mb.posted_count() == 1
+        assert mb.pending_count(0) == 1
+        assert mb.probe_pending(0, ANY_SOURCE, ANY_TAG).payload == b"registry"
+        assert mb.pending_count(5) == 1
+        mb.deliver(env(4, 1, 0, b"late"))   # the posted receive still matches
+        assert exact.matched and exact.envelope.payload == b"late"
+
+    def test_bookkeeping_after_partial_and_full_drain(self):
+        mb = mailbox()
+        for source in range(3):
+            mb.deliver(env(source, 1, 0))
+            mb.deliver(env(source, 2, 0))
+        assert len(mb.drain_pending(0, 1)) == 3
+        assert mb.has_pending(0)
+        assert mb.pending_count() == mb.pending_count(0) == 3
+        assert mb._ctx_sigs[0] == {(0, s, 2) for s in range(3)}
+        assert len(mb.drain_pending(0, 2)) == 3
+        assert not mb.has_pending(0)
+        assert mb.pending_count() == mb.pending_count(0) == 0
+        assert 0 not in mb._ctx_sigs and not mb._pending
+
+    def test_empty_drain_changes_nothing(self):
+        mb = mailbox()
+        assert mb.drain_pending(0, 1) == []
+        mb.deliver(env(1, 2, 0))
+        before = (mb.pending_count(), mb.pending_count(0),
+                  dict(mb._ctx_sigs), mb._arrival_seq)
+        assert mb.drain_pending(0, 1) == []
+        assert mb.drain_pending(7, 2) == []
+        assert (mb.pending_count(), mb.pending_count(0),
+                dict(mb._ctx_sigs), mb._arrival_seq) == before
+
+    def test_holds_the_mutex_when_unbound(self):
+        mb = mailbox()
+        mb.deliver(env(1, 1, 0))
+        got = []
+        with mb._cond:
+            t = threading.Thread(target=lambda: got.append(
+                mb.drain_pending(0, 1)))
+            t.start()
+            t.join(0.05)
+            assert t.is_alive() and not got
+        t.join(5)
+        assert not t.is_alive()
+        assert len(got[0]) == 1
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(1, 2)),
+                max_size=16))
+def test_drain_equals_repeated_wildcard_pops(messages):
+    """Property: one drain returns what popping ANY_SOURCE one envelope
+    at a time would, in the same order."""
+    a, b = mailbox(), mailbox()
+    for i, (source, tag) in enumerate(messages):
+        for mb in (a, b):
+            mb.deliver(env(source, tag, 0, payload=str(i).encode()))
+    popped = []
+    while (e := a.pop_pending(0, ANY_SOURCE, 1)) is not None:
+        popped.append(e)
+    assert b.drain_pending(0, 1) == popped
+    assert b.pending_count(0) == a.pending_count(0)
+    assert b._ctx_sigs == a._ctx_sigs
+
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)),
                 min_size=1, max_size=12))
