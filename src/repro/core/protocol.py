@@ -61,7 +61,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..mpi.api import MPI
-from ..mpi.datatypes import Datatype, from_numpy_dtype
+from ..mpi.datatypes import Datatype, dense_type, from_numpy_dtype
 from ..mpi.matching import ANY_SOURCE, ANY_TAG
 from ..mpi.status import Status
 from ..statesave.context import Context
@@ -433,10 +433,13 @@ class C3Protocol:
         self._poll_control()
         if tag == COLL_TAG and not _internal_tag:
             raise ProtocolError(f"tag {COLL_TAG} is reserved for the C3 layer")
-        raw = centry.raw
-        dtype = self._resolve_dtype(buf, datatype)
-        n = count if count is not None else (buf.size if isinstance(buf, np.ndarray) else 1)
-        payload = dtype.pack(buf, n)
+        dtype = dense_type(buf) if datatype is None and count is None else None
+        if dtype is not None:  # the raw layer's fused dense branch
+            n, payload = buf.size, buf.tobytes()
+        else:
+            dtype = self._resolve_dtype(buf, datatype)
+            n = count if count is not None else (buf.size if isinstance(buf, np.ndarray) else 1)
+            payload = dtype.pack(buf, n)
         self._send_payload(centry, payload, dest, tag, n, dtype.name)
 
     def _send_payload(self, centry: CommEntry, payload: bytes, dest: int,

@@ -213,10 +213,10 @@ def warn_unavailable(backend: ExecutionBackend, reason: str) -> None:
 # ---------------------------------------------------------------------------
 
 class CooperativeBackend(ExecutionBackend):
-    """Deterministic rank fibers under one run loop (the oracle).
+    """Deterministic rank fibers, one running at a time (the oracle).
 
-    No watchdog Timer: the run loop itself checks the wall deadline
-    between scheduling steps and detects true deadlocks (all ranks
+    No watchdog Timer: the scheduling step itself checks the wall
+    deadline at every switch and detects true deadlocks (all ranks
     blocked, no predicate true) instantly.
     """
 

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .datatypes import from_numpy_dtype
+from .datatypes import dense_type, from_numpy_dtype
 from .matching import ANY_TAG
 from .ops import Op
 from .requests import wait_all
@@ -38,18 +38,44 @@ def _next_tag(comm) -> int:
     return _COLL_TAG_BASE + (seq % (1 << 18))
 
 
+# Internal traffic always names its peer and tag, so it takes the
+# communicator's fused dense branch whenever the buffer allows (see
+# ``Communicator._send``); other buffers take the general code.
+
 def _send(comm, buf: np.ndarray, dest: int, tag: int) -> None:
     comm._ctx.collective_fault_point()
-    dt = from_numpy_dtype(buf.dtype)
-    payload = dt.pack(buf, buf.size)
-    comm.send_packed(payload, dest, tag, count=buf.size, type_name=dt.name,
-                     context_id=comm.shadow_id, system=True)
+    dt = dense_type(buf)
+    if dt is not None:
+        payload = buf.tobytes()
+    else:
+        dt = from_numpy_dtype(buf.dtype)
+        payload = dt.pack(buf, buf.size)
+    comm._check()
+    comm._post(payload, dest, tag, buf.size, dt.name, None, comm.shadow_id,
+               True)
 
 
 def _recv(comm, buf: np.ndarray, source: int, tag: int) -> None:
     comm._ctx.collective_fault_point()
-    req = comm.Irecv(buf, source=source, tag=tag, context_id=comm.shadow_id)
-    req.wait()
+    _exchange(comm, None, 0, buf, source, tag)
+
+
+def _exchange(comm, sendbuf, dest: int, recvbuf: np.ndarray, source: int,
+              tag: int) -> None:
+    """Post a receive, send ``sendbuf`` (unless None), then complete the
+    receive: ``Irecv`` + :func:`_send` + ``wait``."""
+    dt = dense_type(recvbuf)
+    if dt is None:
+        req = comm.Irecv(recvbuf, source=source, tag=tag,
+                         context_id=comm.shadow_id)
+        if sendbuf is not None:
+            _send(comm, sendbuf, dest, tag)
+        req.wait()
+        return
+    pr = comm._post_dense(recvbuf, source, tag, comm.shadow_id)
+    if sendbuf is not None:
+        _send(comm, sendbuf, dest, tag)
+    comm._complete_dense(pr, dt, recvbuf)
 
 
 def _recv_all(comm, bufs_by_source, tag: int) -> None:
@@ -61,9 +87,21 @@ def _recv_all(comm, bufs_by_source, tag: int) -> None:
     sleep/wake cycles into one.
     """
     comm._ctx.collective_fault_point()
-    reqs = [comm.Irecv(buf, source=source, tag=tag, context_id=comm.shadow_id)
-            for source, buf in bufs_by_source]
-    wait_all(reqs)
+    types = [dense_type(buf) for _source, buf in bufs_by_source]
+    if None in types:
+        wait_all([comm.Irecv(buf, source=source, tag=tag,
+                             context_id=comm.shadow_id)
+                  for source, buf in bufs_by_source])
+        return
+    posted = [comm._post_dense(buf, source, tag, comm.shadow_id)
+              for source, buf in bufs_by_source]
+    live = [pr for pr in posted if not pr.matched]
+    if live:
+        ctx = comm._ctx
+        ctx.mailbox.wait_for(lambda: all(pr.matched for pr in live),
+                             poll=ctx.poll_hook)
+    for dt, pr, (_source, buf) in zip(types, posted, bufs_by_source):
+        comm._complete_dense(pr, dt, buf)
 
 
 # --------------------------------------------------------------------------
@@ -150,10 +188,7 @@ def _reduce_ordered(comm, sendbuf, recvbuf, op: Op, root: int, tag: int) -> None
 def allreduce(comm, sendbuf: np.ndarray, recvbuf: np.ndarray, op: Op) -> None:
     """Reduce to rank 0, then broadcast."""
     reduce(comm, sendbuf, recvbuf if comm.rank == 0 else np.empty_like(np.asarray(sendbuf)), op, root=0)
-    if comm.rank == 0:
-        bcast(comm, recvbuf, root=0)
-    else:
-        bcast(comm, recvbuf, root=0)
+    bcast(comm, recvbuf, root=0)
 
 
 def scan(comm, sendbuf: np.ndarray, recvbuf: np.ndarray, op: Op) -> None:
@@ -313,9 +348,8 @@ def alltoall(comm, sendbuf: np.ndarray, recvbuf: np.ndarray) -> None:
     for offset in range(1, size):
         dest = (rank + offset) % size
         src = (rank - offset) % size
-        req = comm.Irecv(rp[src], source=src, tag=tag, context_id=comm.shadow_id)
-        _send(comm, np.ascontiguousarray(sp[dest]), dest, tag)
-        req.wait()
+        _exchange(comm, np.ascontiguousarray(sp[dest]), dest, rp[src], src,
+                  tag)
 
 
 def alltoallv(comm, sendbuf: np.ndarray, sendcounts: Sequence[int],
@@ -331,7 +365,5 @@ def alltoallv(comm, sendbuf: np.ndarray, sendcounts: Sequence[int],
     for offset in range(1, size):
         dest = (rank + offset) % size
         src = (rank - offset) % size
-        req = comm.Irecv(rflat[roff[src]:roff[src + 1]], source=src, tag=tag,
-                         context_id=comm.shadow_id)
-        _send(comm, np.ascontiguousarray(sflat[soff[dest]:soff[dest + 1]]), dest, tag)
-        req.wait()
+        _exchange(comm, np.ascontiguousarray(sflat[soff[dest]:soff[dest + 1]]),
+                  dest, rflat[roff[src]:roff[src + 1]], src, tag)

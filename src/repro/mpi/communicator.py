@@ -22,7 +22,7 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import collectives as _coll
-from .datatypes import Datatype, from_numpy_dtype
+from .datatypes import Datatype, dense_type, from_numpy_dtype, unpack_dense
 from .errors import InvalidCommunicatorError, InvalidRankError, InvalidTagError
 from .matching import ANY_SOURCE, ANY_TAG, PostedRecv
 from .message import Envelope, MessageSignature
@@ -118,18 +118,38 @@ class Communicator:
         )
 
     # --------------------------------------------------------------- sending
+    #
+    # A call whose buffer passes ``dense_type`` and that names an exact
+    # peer and tag takes the fused branch: pack -> post -> match ->
+    # deliver with no Request and a byte copy each way.  Every other
+    # input takes the general code.  Both make the same checks in the
+    # same order and charge the clock the same way (DESIGN.md §2.4).
+
     def Send(self, buf, dest: int, tag: int = 0, datatype: Optional[Datatype] = None,
              count: Optional[int] = None, piggyback=None) -> None:
         """Blocking standard-mode send (buffered by the simulator)."""
+        self._send(buf, dest, tag, datatype, count, piggyback)
+
+    def _send(self, buf, dest: int, tag: int, datatype: Optional[Datatype],
+              count: Optional[int], piggyback) -> int:
+        """Pack and post one send; returns its element count."""
         self._check()
+        if datatype is None and count is None:
+            dt = dense_type(buf)
+            if dt is not None:
+                if dest != PROC_NULL:
+                    self._check_tag(tag)
+                    self._post(buf.tobytes(), dest, tag, buf.size, dt.name,
+                               piggyback, self.context_id, False)
+                return buf.size
+        n = count if count is not None else (buf.size if isinstance(buf, np.ndarray) else 1)
         if dest == PROC_NULL:
-            return
+            return n
         self._check_tag(tag)
         dt = self._resolve_type(buf, datatype)
-        n = count if count is not None else (buf.size if isinstance(buf, np.ndarray) else 1)
-        payload = dt.pack(buf, n)
-        self.send_packed(payload, dest, tag, count=n, type_name=dt.name,
-                         piggyback=piggyback)
+        self._post(dt.pack(buf, n), dest, tag, n, dt.name, piggyback,
+                   self.context_id, False)
+        return n
 
     def send_packed(self, payload: bytes, dest: int, tag: int, count: int = 0,
                     type_name: str = "MPI_BYTE", piggyback=None,
@@ -138,14 +158,35 @@ class Communicator:
         self._check()
         if dest == PROC_NULL:
             return
+        self._post(payload, dest, tag, count, type_name, piggyback,
+                   self.context_id if context_id is None else context_id,
+                   system)
+
+    def _post(self, payload: bytes, dest: int, tag: int, count: int,
+              type_name: str, piggyback, cid: int, system: bool) -> None:
+        """One send as an MPI call: timestamp, sequence and deliver
+        ``payload`` to communicator rank ``dest``."""
         ctx = self._ctx
         ctx.enter_mpi_call()
-        cid = self.context_id if context_id is None else context_id
-        sig = MessageSignature(source=self.rank, tag=tag, context_id=cid)
-        env = Envelope(signature=sig, payload=payload, count=count,
-                       type_name=type_name, dest=self._world_rank(dest),
-                       piggyback=piggyback, system=system)
-        ctx.post_envelope(env)
+        world = self._world_rank(dest)
+        machine = ctx.machine
+        nbytes = len(payload)
+        now = ctx.clock.now
+        avail = now + machine.transfer_time(nbytes)
+        if piggyback is not None:
+            avail += (getattr(piggyback, "nbytes", machine.piggyback_bytes)
+                      / machine.bandwidth + machine.piggyback_overhead)
+        key = (world, cid)
+        seqs = ctx.send_seq
+        seq = seqs.get(key, 0)
+        seqs[key] = seq + 1
+        ctx.sent_count += 1
+        ctx.sent_bytes += nbytes
+        # always through the engine's mailbox table: sharded workers
+        # substitute stand-ins for ranks on other shards
+        ctx.engine.mailboxes[world].deliver(Envelope(
+            MessageSignature(self.rank, tag, cid), payload, count, type_name,
+            world, seq, now, avail, piggyback, system))
 
     def multicast_packed(self, sends: Iterable[Tuple[int, bytes]], tag: int,
                          count: int, type_name: str) -> None:
@@ -166,19 +207,55 @@ class Communicator:
     def Isend(self, buf, dest: int, tag: int = 0, datatype: Optional[Datatype] = None,
               count: Optional[int] = None, piggyback=None) -> Request:
         """Non-blocking send; complete immediately (eager buffering)."""
-        self.Send(buf, dest, tag, datatype=datatype, count=count, piggyback=piggyback)
-        n = count if count is not None else (buf.size if isinstance(buf, np.ndarray) else 1)
+        n = self._send(buf, dest, tag, datatype, count, piggyback)
         return Request(Request.SEND, self._ctx, buffer=buf, count=n)
 
     # -------------------------------------------------------------- receiving
     def Recv(self, buf, source: int = ANY_SOURCE, tag: int = ANY_TAG,
              datatype: Optional[Datatype] = None, status: Optional[Status] = None) -> Status:
         """Blocking receive into ``buf``; returns a filled :class:`Status`."""
-        req = self.Irecv(buf, source=source, tag=tag, datatype=datatype)
-        st = req.wait()
+        dt = (dense_type(buf) if datatype is None and source >= 0 and tag >= 0
+              else None)
+        if dt is not None:
+            pr = self._post_dense(buf, source, tag, self.context_id)
+            env, elems = self._complete_dense(pr, dt, buf)
+            st = Status(source=source, tag=tag, count=elems,
+                        nbytes=len(env.payload))
+        else:
+            st = self.Irecv(buf, source=source, tag=tag,
+                            datatype=datatype).wait()
         if status is not None:
             status.__dict__.update(st.__dict__)
         return st
+
+    def _post_dense(self, buf: np.ndarray, source: int, tag: int,
+                    cid: int) -> PostedRecv:
+        """Post a fused-branch receive (one MPI call): the checks of
+        :meth:`Irecv` in its order, then match or queue in the mailbox."""
+        self._check()
+        ctx = self._ctx
+        ctx.enter_mpi_call()
+        if source >= self.size:
+            raise InvalidRankError(f"source {source} out of range for {self.name}")
+        self._check_tag(tag)
+        pr = PostedRecv(cid, source, tag, buf.nbytes)
+        ctx.mailbox.post(pr)
+        return pr
+
+    def _complete_dense(self, pr: PostedRecv, dt: Datatype,
+                        buf: np.ndarray) -> Tuple[Envelope, int]:
+        """Wait for a fused-branch receive, charge its completion
+        (availability sync, then the call overhead, as
+        ``Request._finish``) and unpack it into ``buf``; returns the
+        envelope and its element count."""
+        ctx = self._ctx
+        if not pr.matched:
+            ctx.mailbox.wait_for(pr.done, poll=ctx.poll_hook)
+        env = pr.envelope
+        clock = ctx.clock
+        clock.sync_to(env.avail_time)
+        clock.advance(ctx.machine.call_overhead)
+        return env, unpack_dense(dt, env.payload, buf)
 
     def Irecv(self, buf, source: int = ANY_SOURCE, tag: int = ANY_TAG,
               datatype: Optional[Datatype] = None,
@@ -213,9 +290,17 @@ class Communicator:
     def Sendrecv(self, sendbuf, dest: int, sendtag: int, recvbuf, source: int,
                  recvtag: int, status: Optional[Status] = None) -> Status:
         """Combined send+receive (deadlock-free)."""
-        rreq = self.Irecv(recvbuf, source=source, tag=recvtag)
-        self.Send(sendbuf, dest, sendtag)
-        st = rreq.wait()
+        dt = dense_type(recvbuf) if source >= 0 and recvtag >= 0 else None
+        if dt is not None:
+            pr = self._post_dense(recvbuf, source, recvtag, self.context_id)
+            self._send(sendbuf, dest, sendtag, None, None, None)
+            env, elems = self._complete_dense(pr, dt, recvbuf)
+            st = Status(source=source, tag=recvtag, count=elems,
+                        nbytes=len(env.payload))
+        else:
+            rreq = self.Irecv(recvbuf, source=source, tag=recvtag)
+            self._send(sendbuf, dest, sendtag, None, None, None)
+            st = rreq.wait()
         if status is not None:
             status.__dict__.update(st.__dict__)
         return st

@@ -354,6 +354,35 @@ _NUMPY_TO_NAMED = {
 }
 
 
+def dense_type(buf):
+    """The named type of a buffer one byte copy moves whole, else None.
+
+    The entry rule of the fused point-to-point branch: an exact
+    ``np.ndarray``, at least 1-d, C-contiguous, whose dtype has a named
+    MPI type.  For such a buffer ``pack(buf, buf.size)`` is
+    ``buf.tobytes()`` and :func:`unpack_dense` is ``unpack``; any other
+    buffer takes the general code, which raises the general code's
+    errors.
+    """
+    if type(buf) is np.ndarray and buf.ndim and buf.flags.c_contiguous:
+        return _NUMPY_TO_NAMED.get(buf.dtype)
+    return None
+
+
+def unpack_dense(dtype: NamedType, payload: bytes, buf: np.ndarray) -> int:
+    """``dtype.unpack`` of a whole-element payload into a buffer that
+    :func:`dense_type` accepted, as one byte copy; returns the element
+    count.  The caller has checked that the payload fits."""
+    elems = len(payload) // dtype.size
+    need = elems * dtype.size
+    try:
+        memoryview(buf).cast("B")[:need] = (
+            payload if need == len(payload) else memoryview(payload)[:need])
+    except TypeError:  # read-only buffer: raise what unpack raises
+        dtype.unpack(payload, buf, count=elems)
+    return elems
+
+
 def from_numpy_dtype(dtype) -> NamedType:
     """Automatic datatype discovery for numpy buffers (mpi4py-style)."""
     try:

@@ -22,9 +22,9 @@ owns its own:
 
 * ``"cooperative"`` (default) — rank mains run as fibers under the
   deterministic cooperative scheduler (:mod:`repro.mpi.scheduler`):
-  exactly one rank executes at a time, blocking MPI operations yield to
-  a single run loop, wakeups are exact, deadlock is detected the moment
-  every live rank blocks, and runs are bit-reproducible.  This backend
+  exactly one rank executes at a time, blocking MPI operations hand the
+  runner to the next fiber, wakeups are exact, deadlock is detected the
+  moment every live rank blocks, and runs are bit-reproducible.  This backend
   scales to the paper's process counts (256+ ranks).
 * ``"sharded"`` / ``"sharded:N"`` — the simulated nodes are partitioned
   across N forked worker processes, each running a cooperative
@@ -143,7 +143,9 @@ class RankContext:
         self.scratch: Dict[Any, Any] = {}
         #: failed non-blocking completion checks since the last nb yield
         self._nb_misses = 0
-        self._send_seq: Dict[Tuple[int, int], int] = {}
+        #: (world dest, context id) -> next sequence number; advanced by
+        #: every send (``Communicator._post``, :meth:`multicast`)
+        self.send_seq: Dict[Tuple[int, int], int] = {}
         #: set by the virtual-time fault scheduler (possibly from another
         #: rank's thread); consumed by this rank at its next check point
         self._due_fault: Optional[FaultSpec] = None
@@ -284,24 +286,6 @@ class RankContext:
         self.engine.fault_plan.deliver(spec, self.rank, self.clock.now)
 
     # -- envelope transmission ----------------------------------------------
-    def post_envelope(self, env: Envelope) -> None:
-        """Timestamp, sequence, and deliver an envelope to its destination."""
-        extra = 0.0
-        if env.piggyback is not None:
-            pb_bytes = getattr(env.piggyback, "nbytes",
-                               self.machine.piggyback_bytes)
-            extra = (pb_bytes / self.machine.bandwidth
-                     + self.machine.piggyback_overhead)
-        env.send_time = self.clock.now
-        env.avail_time = (self.clock.now
-                          + self.machine.transfer_time(env.nbytes) + extra)
-        key = (env.dest, env.context_id)
-        env.seq = self._send_seq.get(key, 0)
-        self._send_seq[key] = env.seq + 1
-        self.sent_count += 1
-        self.sent_bytes += env.nbytes
-        self.engine.mailboxes[env.dest].deliver(env)
-
     def multicast(self, sig: MessageSignature,
                   sends: Iterable[Tuple[int, bytes]], count: int,
                   type_name: str) -> None:
@@ -316,7 +300,7 @@ class RankContext:
         so every payload must have the same size; there is no piggyback.
         """
         mailboxes = self.engine.mailboxes
-        seqs = self._send_seq
+        seqs = self.send_seq
         clock = self.clock
         cid = sig.context_id
         nbytes = transfer = None
@@ -332,9 +316,8 @@ class RankContext:
             self.sent_count += 1
             self.sent_bytes += nbytes
             mailboxes[dest].deliver(Envelope(
-                signature=sig, payload=payload, count=count,
-                type_name=type_name, dest=dest, seq=seq, send_time=now,
-                avail_time=now + transfer))
+                sig, payload, count, type_name, dest, seq, now,
+                now + transfer))
 
 
 @dataclass
@@ -556,8 +539,8 @@ class Engine:
                          errors: List[Tuple[int, str]]) -> None:
         """Run every rank as a fiber under the deterministic scheduler.
 
-        No watchdog timer is needed: the run loop itself checks the wall
-        deadline between scheduling steps and detects true deadlocks
+        No watchdog timer is needed: the scheduling step itself checks
+        the wall deadline at every switch and detects true deadlocks
         (all ranks blocked, no predicate true) instantly.
         """
         self.scheduler = CooperativeScheduler(self)

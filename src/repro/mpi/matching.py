@@ -1,8 +1,9 @@
 """Per-rank mailbox with MPI matching semantics.
 
 The mailbox owns two collections, both indexed by the full match
-signature ``(context_id, source, tag)`` so the hot paths are O(1)
-amortized instead of linear scans:
+signature ``(source, tag, context_id)`` — an envelope's
+:class:`~repro.mpi.message.MessageSignature` is its key as is — so the
+hot paths are O(1) amortized instead of linear scans:
 
 * ``pending`` — envelopes that have arrived but not yet matched a
   receive, bucketed by signature.  Each bucket keeps arrival order (=
@@ -21,6 +22,15 @@ amortized instead of linear scans:
 Messages with different signatures may be consumed in any order the
 application chooses — the property Section 2.4 of the paper calls out as
 breaking Chandy-Lamport's FIFO assumption.
+
+Every receive enters as a :class:`PostedRecv` through :meth:`Mailbox.post`.
+A request-based receive (``Irecv``) wraps it in a
+:class:`~repro.mpi.requests.Request`; the communicator's fused dense
+branch posts it bare and waits on :meth:`PostedRecv.done`, so a dense
+exact receive costs one bucket probe when its message is already
+pending.  Truncation is checked where the match happens: at posting for
+a pending envelope, in the sender's :meth:`Mailbox.deliver` for a
+posted receive.
 
 Paper mapping: the mailbox is the runtime's model of the MPI matching
 engine the C3 protocol reasons about — Section 2.4's non-FIFO channels
@@ -56,7 +66,7 @@ from .message import Envelope
 ANY_SOURCE = -1
 ANY_TAG = -1
 
-#: a pending-bucket key / posted-bucket key
+#: a pending-bucket key / posted-bucket key: ``(source, tag, context_id)``
 Signature = Tuple[int, int, int]
 
 
@@ -76,11 +86,10 @@ class PostedRecv:
 
     __slots__ = (
         "context_id", "source", "tag", "max_bytes", "envelope", "matched",
-        "on_match", "cancelled", "post_seq",
+        "cancelled", "post_seq",
     )
 
-    def __init__(self, context_id: int, source: int, tag: int, max_bytes: int,
-                 on_match: Optional[Callable[["PostedRecv"], None]] = None):
+    def __init__(self, context_id: int, source: int, tag: int, max_bytes: int):
         self.context_id = context_id
         self.source = source
         self.tag = tag
@@ -88,7 +97,6 @@ class PostedRecv:
         self.envelope: Optional[Envelope] = None
         self.matched = False
         self.cancelled = False
-        self.on_match = on_match
         #: mailbox-wide post order; assigned when queued unmatched
         self.post_seq = -1
 
@@ -101,16 +109,19 @@ class PostedRecv:
             env, self.context_id, self.source, self.tag
         )
 
+    def done(self) -> bool:
+        """Wait predicate of a receive posted without a request."""
+        return self.matched
+
     def _match(self, env: Envelope) -> None:
-        if env.nbytes > self.max_bytes:
+        nbytes = len(env.payload)
+        if nbytes > self.max_bytes:
             raise TruncationError(
-                f"message of {env.nbytes} bytes truncates receive buffer of "
+                f"message of {nbytes} bytes truncates receive buffer of "
                 f"{self.max_bytes} bytes (src={env.source}, tag={env.tag})"
             )
         self.envelope = env
         self.matched = True
-        if self.on_match is not None:
-            self.on_match(self)
 
 
 #: shared reusable no-op mutex for scheduler-bound (single-runner) mailboxes
@@ -155,7 +166,7 @@ class Mailbox:
 
         With a single runner the condition variable is dead weight: the
         mutex becomes a no-op and wakeups become exact dirty-rank notes
-        into the scheduler's run loop.  Called by the engine before a
+        for the scheduler's next step.  Called by the engine before a
         cooperative run; a bound mailbox must no longer be touched from
         free-running threads.
         """
@@ -175,14 +186,14 @@ class Mailbox:
         with self._mutex:
             self.delivered_count += 1
             self.delivered_bytes += len(env.payload)
-            sig = env.signature
-            ctx = sig.context_id
-            key = (ctx, sig.source, sig.tag)
-            pr = self._take_posted(env, key)
-            if pr is not None:
-                pr._match(env)
-                self._wake()
-                return
+            key = env.signature
+            if self._posted_total:
+                pr = self._take_posted(env, key)
+                if pr is not None:
+                    pr._match(env)
+                    self._wake()
+                    return
+            ctx = key.context_id
             bucket = self._pending.get(key)
             if bucket is None:
                 bucket = self._pending[key] = deque()
@@ -224,7 +235,14 @@ class Mailbox:
     def post(self, pr: PostedRecv) -> None:
         """Post a receive; matches the oldest pending envelope if one fits."""
         with self._mutex:
-            key = self._oldest_pending_key(pr.context_id, pr.source, pr.tag)
+            source, tag = pr.source, pr.tag
+            if source != ANY_SOURCE and tag != ANY_TAG:
+                sig = (source, tag, pr.context_id)
+                # pending buckets are deleted when they empty
+                key = sig if sig in self._pending else None
+            else:
+                sig = None
+                key = self._oldest_pending_key(pr.context_id, source, tag)
             if key is not None:
                 env = self._pop_pending(key)
                 pr._match(env)
@@ -232,22 +250,21 @@ class Mailbox:
                 return
             pr.post_seq = self._post_seq
             self._post_seq += 1
-            if pr.wildcard:
-                self._posted_wild.append(pr)
-            else:
-                sig = (pr.context_id, pr.source, pr.tag)
+            if sig is not None:
                 bucket = self._posted_exact.get(sig)
                 if bucket is None:
                     bucket = self._posted_exact[sig] = deque()
                 bucket.append(pr)
+            else:
+                self._posted_wild.append(pr)
             self._posted_total += 1
 
     def _oldest_pending_key(self, context_id: int, source: int,
                             tag: int) -> Optional[Signature]:
         """Bucket holding the oldest pending envelope matching the triple."""
         if source != ANY_SOURCE and tag != ANY_TAG:
-            key = (context_id, source, tag)
-            return key if self._pending.get(key) else None
+            key = (source, tag, context_id)
+            return key if key in self._pending else None
         if not self._pending_by_ctx.get(context_id):
             return None
         # Scan only this context's live buckets; the winner is the
@@ -257,9 +274,9 @@ class Mailbox:
         best_arrival = -1
         pending = self._pending
         for key in self._ctx_sigs.get(context_id, ()):
-            if source != ANY_SOURCE and key[1] != source:
+            if source != ANY_SOURCE and key[0] != source:
                 continue
-            if tag != ANY_TAG and key[2] != tag:
+            if tag != ANY_TAG and key[1] != tag:
                 continue
             arrival = pending[key][0][0]
             if best_key is None or arrival < best_arrival:
@@ -269,18 +286,19 @@ class Mailbox:
     def _pop_pending(self, key: Signature) -> Envelope:
         bucket = self._pending[key]
         _, env = bucket.popleft()
+        ctx = key[2]
         if not bucket:
             del self._pending[key]
-            sigs = self._ctx_sigs[key[0]]
+            sigs = self._ctx_sigs[ctx]
             sigs.discard(key)
             if not sigs:
-                del self._ctx_sigs[key[0]]
+                del self._ctx_sigs[ctx]
         self._pending_total -= 1
-        remaining = self._pending_by_ctx[key[0]] - 1
+        remaining = self._pending_by_ctx[ctx] - 1
         if remaining:
-            self._pending_by_ctx[key[0]] = remaining
+            self._pending_by_ctx[ctx] = remaining
         else:
-            del self._pending_by_ctx[key[0]]
+            del self._pending_by_ctx[ctx]
         return env
 
     def cancel(self, pr: PostedRecv) -> bool:
@@ -294,7 +312,7 @@ class Mailbox:
                     self._posted_wild.remove(pr)
                     self._posted_total -= 1
             else:
-                sig = (pr.context_id, pr.source, pr.tag)
+                sig = (pr.source, pr.tag, pr.context_id)
                 bucket = self._posted_exact.get(sig)
                 if bucket is not None and pr in bucket:
                     bucket.remove(pr)
@@ -366,7 +384,7 @@ class Mailbox:
         """
         with self._mutex:
             sigs = self._ctx_sigs.get(context_id)
-            keys = [key for key in sigs if key[2] == tag] if sigs else ()
+            keys = [key for key in sigs if key[1] == tag] if sigs else ()
             if not keys:
                 return []
             stamped: List[Tuple[int, Envelope]] = []

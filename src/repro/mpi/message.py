@@ -10,24 +10,23 @@ layer (the paper piggybacks 3 bits: a 2-bit epoch color and 1 logging bit).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, NamedTuple
 
 
-@dataclass(frozen=True)
-class MessageSignature:
-    """``<sending node number, tag, communicator>`` (paper, Section 2.3)."""
+class MessageSignature(NamedTuple):
+    """``<sending node number, tag, communicator>`` (paper, Section 2.3).
+
+    A plain tuple, so the mailbox uses it as its bucket key as is.
+    """
 
     source: int
     tag: int
     context_id: int
 
-    def as_tuple(self) -> Tuple[int, int, int]:
-        return (self.source, self.tag, self.context_id)
-
 
 # Sequence numbers give the mailbox its per-signature non-overtaking order.
-@dataclass
+@dataclass(slots=True)
 class Envelope:
     signature: MessageSignature
     payload: bytes

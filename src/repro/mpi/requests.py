@@ -13,7 +13,7 @@ from __future__ import annotations
 import threading
 from typing import List, Optional, Sequence, Tuple
 
-from .datatypes import Datatype
+from .datatypes import Datatype, dense_type, unpack_dense
 from .errors import InvalidRequestError
 from .matching import PostedRecv
 from .message import Envelope
@@ -25,6 +25,9 @@ class Request:
 
     SEND = "send"
     RECV = "recv"
+
+    __slots__ = ("kind", "_rank_ctx", "buffer", "count", "datatype", "posted",
+                 "envelope", "complete_time", "released", "_delivered")
 
     def __init__(self, kind: str, rank_ctx, buffer=None, count: int = 0,
                  datatype: Optional[Datatype] = None):
@@ -57,14 +60,21 @@ class Request:
             return Status(source=self._rank_ctx.rank, tag=0, count=self.count)
         env = self.envelope
         assert env is not None
+        dt = self.datatype
+        nbytes = len(env.payload)
+        # Element count in the payload may be smaller than posted.
+        elems = nbytes // dt.size if dt is not None and dt.size else 0
         if not self._delivered:
-            if self.buffer is not None and self.datatype is not None:
-                # Element count in the payload may be smaller than posted.
-                elems = env.nbytes // self.datatype.size if self.datatype.size else 0
-                self.datatype.unpack(env.payload, self.buffer, count=elems)
+            buf = self.buffer
+            if buf is not None and dt is not None:
+                if dense_type(buf) is dt:
+                    unpack_dense(dt, env.payload, buf)
+                else:
+                    dt.unpack(env.payload, buf, count=elems)
             self._delivered = True
-        elems = (env.nbytes // self.datatype.size) if (self.datatype and self.datatype.size) else env.count
-        return Status(source=env.source, tag=env.tag, count=elems, nbytes=env.nbytes)
+        if dt is None or not dt.size:
+            elems = env.count
+        return Status(source=env.source, tag=env.tag, count=elems, nbytes=nbytes)
 
     # -- completion ------------------------------------------------------------
     def wait(self) -> Status:

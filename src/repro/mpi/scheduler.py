@@ -5,8 +5,8 @@ Each rank's ``main`` runs as a *fiber*: a task that executes until it
 reaches a blocking point — a mailbox wait (``Recv``/``Wait``/``Probe``,
 collective internals, the C3 checkpoint coordination paths) or a failed
 non-blocking completion check (``Test``/``Iprobe`` spin loops) — and
-then yields control back to a single run loop.  Exactly one rank
-executes at any instant, so
+then hands the runner to the next task through one scheduling step.
+Exactly one rank executes at any instant, so
 
 * the schedule is **deterministic**: runnable ranks are serviced from a
   FIFO queue seeded in rank order, and blocked ranks are woken in rank
@@ -16,9 +16,9 @@ executes at any instant, so
 * the mailbox needs **no locks and no condition variables**: all
   matching state is mutated by whichever single task is running (the
   engine binds each mailbox to the scheduler, replacing its condition
-  variable with a wakeup note into the run loop);
+  variable with a wakeup note for the scheduling step);
 * **wakeups are exact**: a delivery or notification marks the target
-  rank dirty, and the run loop re-evaluates only dirty ranks' wait
+  rank dirty, and the scheduling step re-evaluates only dirty ranks' wait
   predicates, resuming exactly the ranks whose predicate became true
   (or that have a due fault to observe) — there are no notify-all
   storms and no timeout polls;
@@ -30,29 +30,37 @@ executes at any instant, so
 CPython cannot suspend an arbitrary call stack (no first-class
 continuations, and ``greenlet`` is not a dependency), so each fiber is
 *carried* by a parked OS thread with a small stack: the carrier blocks
-on a private semaphore whenever its task is not scheduled, and the
-run-loop/task handoff is two semaphore operations.  The cooperative
-discipline — one runner at a time, explicit yield points — is what
-delivers the determinism and the scalability; the carrier threads are
-an implementation detail that never run concurrently.  This is what
-lets platform models run at the paper's true process counts (256+ ranks
-sweep in :mod:`repro.harness.scaling`) instead of the downscaled 4/8/16
-used by the original thread-per-rank engine.
+on a private bare ``_thread`` lock whenever its task is not scheduled.
+There is no central loop thread to bounce through: the task that parks
+runs the scheduling step itself (wakeups, deadlock detection, the
+sharded hooks) and releases the lock of the task it picked, so a fiber
+switch is one OS wakeup, and none when a yielding task picks itself.
+The launching thread only waits for the job to end and keeps the
+stuck-task watchdog.  The cooperative discipline — one runner at a time,
+explicit yield points — is what delivers the determinism and the
+scalability; the carrier threads are an implementation detail that
+never run concurrently.  This is what lets platform models run at the
+paper's true process counts (256+ ranks sweep in
+:mod:`repro.harness.scaling`) instead of the downscaled 4/8/16 used by
+the original thread-per-rank engine.
 
 Rank code must reach its blocking points *through the simulated MPI
 layer*: a task that blocks on a bare OS primitive (``Event.wait``,
-``time.sleep`` loops) stalls the run loop, because it parks the only
-running carrier without yielding.  The scheduler guards against this
-with a handoff timeout slightly beyond the job's wall deadline — the
-stuck rank is abandoned (its daemon carrier leaks) and the job aborts
-with an engine-watchdog error, mirroring the threaded backend's
-behavior for ranks that never terminate.
+``time.sleep`` loops) stalls the job, because it holds the only runner
+without yielding.  The launching thread guards against this: once the
+job is past its wall deadline plus :attr:`CooperativeScheduler.HANDOFF_GRACE`
+and the running task has not parked for a whole watch period, the task
+is abandoned (its daemon carrier leaks; if it ever parks or finishes, it
+sees itself abandoned and stops without touching the scheduler) and the
+job aborts with an engine-watchdog error, mirroring the threaded
+backend's behavior for ranks that never terminate.
 
 See DESIGN.md section 4 for the execution-model contract.
 """
 
 from __future__ import annotations
 
+import _thread
 import threading
 import time as _time
 from collections import deque
@@ -67,15 +75,23 @@ _YIELDED = "yielded"
 _DONE = "done"
 
 
+def _locked() -> "_thread.LockType":
+    lock = _thread.allocate_lock()
+    lock.acquire()
+    return lock
+
+
 class RankTask:
     """One rank's fiber: a parked carrier thread plus scheduling state."""
 
-    __slots__ = ("rank", "sem", "thread", "state", "predicate", "leaked")
+    __slots__ = ("rank", "lock", "thread", "state", "predicate", "leaked")
 
     def __init__(self, rank: int):
         self.rank = rank
-        #: the carrier parks here whenever the task is not scheduled
-        self.sem = threading.Semaphore(0)
+        #: held while the task is parked; whoever schedules the task
+        #: releases it (exactly once per park, so no release ever finds
+        #: it unlocked)
+        self.lock = _locked()
         self.thread: Optional[threading.Thread] = None
         self.state = _YIELDED
         #: wait predicate registered by the current blocking operation
@@ -85,7 +101,7 @@ class RankTask:
 
 
 class CooperativeScheduler:
-    """Single run loop advancing one rank fiber at a time."""
+    """One rank fiber at a time, each handing the runner to the next."""
 
     #: carrier-thread stack size: tasks never recurse deeply, and with
     #: one runner at a time there is no per-thread working set beyond
@@ -94,8 +110,8 @@ class CooperativeScheduler:
     #: *virtual* address space
     STACK_BYTES = 512 << 10
 
-    #: extra wall-clock grace beyond the job deadline before the run
-    #: loop abandons a task that never yields (non-MPI blocking call)
+    #: extra wall-clock grace beyond the job deadline before the
+    #: watchdog abandons a task that never yields (non-MPI blocking call)
     HANDOFF_GRACE = 30.0
 
     #: consecutive no-progress switches (yield/block with no mailbox
@@ -109,12 +125,24 @@ class CooperativeScheduler:
         #: the subset of ranks this loop runs (None = all engine ranks);
         #: the sharded backend runs one loop per simulated-node group
         self.ranks = None if ranks is None else [int(r) for r in ranks]
-        #: the run loop parks here while a task runs
-        self._main = threading.Semaphore(0)
+        #: the task holding the runner
         self._current: Optional[RankTask] = None
         #: ranks whose mailbox saw activity since they blocked
         self._dirty: Set[int] = set()
         self._blocked: Dict[int, RankTask] = {}
+        self._runnable: Deque[RankTask] = deque()
+        self._live = 0
+        self._idle_spins = 0
+        self._deadline = 0.0
+        self._errors: List = []
+        #: released by whoever finds the job over
+        self._done = _locked()
+        #: orders a parking task's state change against the watchdog's
+        #: abandon decision
+        self._guard = _thread.allocate_lock()
+        #: an exception the scheduling step raised on a carrier thread,
+        #: re-raised by :meth:`run` on the launching thread
+        self._crash: Optional[BaseException] = None
         #: set when every live rank is blocked with no wakeup possible;
         #: observed by parked tasks, which unwind with DeadlockError
         self.deadlocked = False
@@ -170,10 +198,38 @@ class CooperativeScheduler:
             self._park(task, _YIELDED)
 
     def _park(self, task: RankTask, state: str) -> None:
-        task.state = state
-        self._main.release()
-        task.sem.acquire()
+        """Give up the runner in ``state`` and sleep until picked again."""
+        if self._hand_off(task, state):
+            task.lock.acquire()
         task.state = _RUNNING
+
+    def _hand_off(self, task: RankTask, state: str) -> bool:
+        """Run the scheduling step on the leaving task's own thread and
+        wake the task it picks; False if it picked ``task`` itself.
+
+        An abandoned task stops here: the watchdog already scheduled
+        past it, so it must neither touch the run queues nor release a
+        lock — the task it would pick may already be running (a second
+        runner), and ``release()`` of the job-over lock after the job
+        ended raises.  A parking one then sleeps on its own lock for good
+        (nobody releases it); a finished one just ends.
+        """
+        with self._guard:
+            if task.leaked:
+                return True
+            task.state = state
+        try:
+            nxt = self._advance(task)
+        except BaseException as exc:  # noqa: BLE001 - re-raised by run()
+            self._crash = exc
+            nxt = None
+        if nxt is task:
+            return False
+        if nxt is None:
+            self._done.release()
+        else:
+            nxt.lock.release()
+        return True
 
     def _deadlock_message(self) -> str:
         return (f"cooperative deadlock: all live ranks blocked with no "
@@ -199,13 +255,12 @@ class CooperativeScheduler:
     # -- carriers ------------------------------------------------------------
     def _start_carriers(self, body: Callable[[int], None]) -> None:
         def carrier(task: RankTask) -> None:
-            task.sem.acquire()          # wait to be scheduled the first time
+            task.lock.acquire()         # wait to be scheduled the first time
             task.state = _RUNNING
             try:
                 body(task.rank)         # never raises (engine worker wrapper)
             finally:
-                task.state = _DONE
-                self._main.release()
+                self._hand_off(task, _DONE)
 
         old_stack = threading.stack_size()
         try:
@@ -224,43 +279,49 @@ class CooperativeScheduler:
             except (ValueError, RuntimeError):  # pragma: no cover
                 pass
 
-    def _switch_to(self, task: RankTask, deadline: float) -> bool:
-        """Resume a task until it parks; False if it had to be abandoned."""
-        self._current = task
-        self.switches += 1
-        task.sem.release()
-        while True:
-            budget = max(1.0, deadline + self.HANDOFF_GRACE
-                         - _time.monotonic())
-            if self._main.acquire(timeout=budget):
-                if task.state != _RUNNING:
-                    return True
-                # phantom permit from a previously abandoned task that
-                # finally parked; swallow it and keep waiting
-                continue  # pragma: no cover - degraded mode
-            # The task never yielded: it is stuck in a non-MPI blocking
-            # call or an unbounded compute.  Abandon it (daemon carrier
-            # leaks) and fail the job like the threaded watchdog would.
-            task.leaked = True  # pragma: no cover - degraded mode
-            return False  # pragma: no cover
+    # -- the scheduling step ---------------------------------------------------
+    def _advance(self, left: Optional[RankTask],
+                 abandoned: bool = False) -> Optional[RankTask]:
+        """Account for the task that just gave up the runner, then pick
+        the next one to run; None when no live task is left.
 
-    # -- the run loop ----------------------------------------------------------
-    def run(self, body: Callable[[int], None], deadline: float,
-            errors: List) -> None:
-        """Execute ``body(rank)`` for every rank to completion."""
+        Runs on whichever thread holds the runner: the leaving task's
+        carrier, or the launching thread for the first pick and after an
+        abandon.
+        """
         engine = self.engine
-        ranks = self.ranks if self.ranks is not None else range(engine.nprocs)
-        self._tasks = [RankTask(r) for r in ranks]
-        runnable: Deque[RankTask] = deque(self._tasks)
+        runnable = self._runnable
         blocked = self._blocked
-        abort = engine.abort_event
-        self._start_carriers(body)
-        live = len(self._tasks)
-        idle_spins = 0
+        if abandoned:
+            # The task never yielded: it is stuck in a non-MPI blocking
+            # call or an unbounded compute.  Fail the job like the
+            # threaded watchdog would and stop trusting the task.
+            self._errors.append((
+                -1,
+                f"cooperative engine watchdog: rank {left.rank} never "
+                f"yielded (blocked outside the simulated MPI layer?)"))
+            engine.abort(None)
+            self._live -= 1
+        elif left is not None:
+            state = left.state
+            if state == _DONE:
+                self._live -= 1
+                self._idle_spins = 0
+            else:
+                if state == _BLOCKED:
+                    blocked[left.rank] = left
+                else:  # _YIELDED: round-robin to the back of the queue
+                    runnable.append(left)
+                self._idle_spins += 1
+            if self._dirty:
+                self._idle_spins = 0
+            elif self._idle_spins >= self.SPIN_HOOK_EVERY:
+                self._idle_spins = 0
+                self._on_idle_spin()
 
-        while live:
-            wall_expired = _time.monotonic() > deadline
-            if abort.is_set() or wall_expired:
+        abort = engine.abort_event
+        while self._live:
+            if abort.is_set() or _time.monotonic() > self._deadline:
                 # Wake everything: blocked tasks observe the abort flag
                 # (JobAborted) or the expired deadline (their poll's
                 # check_deadline raises DeadlockError and aborts).
@@ -281,7 +342,7 @@ class CooperativeScheduler:
                         runnable.append(task)
             if not runnable:
                 if not blocked:  # pragma: no cover - defensive
-                    break
+                    return None
                 # Every live rank is blocked and no predicate holds.  In
                 # a sharded run another shard (or an in-transit envelope)
                 # may still wake us: ask the hook before giving up.
@@ -301,27 +362,44 @@ class CooperativeScheduler:
             task = runnable.popleft()
             if task.state == _DONE:  # pragma: no cover - defensive
                 continue
-            if not self._switch_to(task, deadline):
-                # Abandoned a stuck task: abort the job and stop
-                # trusting the cooperative invariant for it.
-                errors.append((  # pragma: no cover - degraded mode
-                    -1,
-                    f"cooperative engine watchdog: rank {task.rank} never "
-                    f"yielded (blocked outside the simulated MPI layer?)"))
-                engine.abort(None)  # pragma: no cover
-                live -= 1  # pragma: no cover
-                continue  # pragma: no cover
-            if task.state == _DONE:
-                live -= 1
-                idle_spins = 0
-            elif task.state == _BLOCKED:
-                blocked[task.rank] = task
-                idle_spins += 1
-            else:  # _YIELDED: round-robin to the back of the queue
-                runnable.append(task)
-                idle_spins += 1
-            if self._dirty:
-                idle_spins = 0
-            elif idle_spins >= self.SPIN_HOOK_EVERY:
-                idle_spins = 0
-                self._on_idle_spin()
+            self._current = task
+            self.switches += 1
+            return task
+        return None
+
+    # -- the launching thread ----------------------------------------------------
+    def run(self, body: Callable[[int], None], deadline: float,
+            errors: List) -> None:
+        """Execute ``body(rank)`` for every rank to completion."""
+        engine = self.engine
+        ranks = self.ranks if self.ranks is not None else range(engine.nprocs)
+        self._tasks = [RankTask(r) for r in ranks]
+        self._runnable = deque(self._tasks)
+        self._live = len(self._tasks)
+        self._deadline = deadline
+        self._errors = errors
+        self._start_carriers(body)
+        nxt = self._advance(None)
+        while nxt is not None:
+            nxt.lock.release()
+            nxt = self._watch()
+        if self._crash is not None:
+            raise self._crash
+
+    def _watch(self) -> Optional[RankTask]:
+        """Wait for the job to end; past the deadline plus the grace,
+        abandon a task that holds the runner for a whole watch period
+        and return the task picked after it."""
+        while True:
+            seen = self.switches
+            budget = max(1.0, self._deadline + self.HANDOFF_GRACE
+                         - _time.monotonic())
+            if self._done.acquire(timeout=budget):
+                return None
+            with self._guard:
+                task = self._current
+                stuck = self.switches == seen and task.state == _RUNNING
+                if stuck:
+                    task.leaked = True
+            if stuck:
+                return self._advance(task, abandoned=True)

@@ -271,7 +271,7 @@ class TestDrainPending:
         assert len(mb.drain_pending(0, 1)) == 3
         assert mb.has_pending(0)
         assert mb.pending_count() == mb.pending_count(0) == 3
-        assert mb._ctx_sigs[0] == {(0, s, 2) for s in range(3)}
+        assert mb._ctx_sigs[0] == {(s, 2, 0) for s in range(3)}
         assert len(mb.drain_pending(0, 2)) == 3
         assert not mb.has_pending(0)
         assert mb.pending_count() == mb.pending_count(0) == 0
