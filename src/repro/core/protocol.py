@@ -717,8 +717,8 @@ class C3Protocol:
         if any(r is None for r in mpi_reqs):
             raise ProtocolError("waitany on request without pending operation")
         ctx = self.mpi._ctx
-        ctx.mailbox.wait_for(lambda: any(r.is_complete() for r in mpi_reqs),
-                             poll=ctx.poll_hook)
+        ctx.engine.scheduler.wait(
+            lambda: any(r.is_complete() for r in mpi_reqs), ctx.poll_hook)
         for i, e in enumerate(entries):
             if e.mpi_request.is_complete():
                 st = self._complete_recv(e)

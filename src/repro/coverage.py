@@ -28,10 +28,12 @@ Coverage points are plain strings, namespaced by origin:
 * ``storage:<fault>`` — storage faults actually injected by
   :class:`~repro.storage.faulty.FaultyStorage` (e.g. ``storage:bit_rot``).
 
-The map is deliberately not thread-local: the threads backend runs ranks
-concurrently, and a lost increment under a data race only underreports a
-*count*, never unsets a point — set-of-points coverage stays exact
-because dict key insertion is atomic under the GIL.
+The map is deliberately not thread-local: rank code reports from the
+scheduler's carrier threads, not from the thread that installed the map,
+and the campaign service (:mod:`repro.service`) runs several jobs
+concurrently in one process.  A lost increment under a data race only
+underreports a *count*, never unsets a point — set-of-points coverage
+stays exact because dict key insertion is atomic under the GIL.
 """
 
 from __future__ import annotations

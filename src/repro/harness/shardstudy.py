@@ -297,9 +297,8 @@ def _parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
                     help="exit 1 unless sharded campaign wall is at "
                          "least X times faster than cooperative; refused "
                          "when the machine has fewer cores than shards")
-    add_engine_arg(ap, help="engine compared against cooperative: "
-                            "threads or sharded[:N] (default: "
-                            "sharded:<--shards>)")
+    add_engine_arg(ap, help="engine compared against cooperative "
+                            "(default: sharded:<--shards>)")
     add_storage_arg(ap, help="stable-storage flavor forced on both "
                              "campaign passes and the scaling point "
                              "(default: the scenarios' native backends)")

@@ -2,10 +2,11 @@
 
 Public surface:
 
-* :func:`run_job` / :class:`Engine` — launch an SPMD job.  Two backends:
-  the default deterministic cooperative scheduler (one rank fiber at a
-  time; scales to the paper's 256+ process counts) and a thread-per-rank
-  escape hatch (``engine="threads"``).
+* :func:`run_job` / :class:`Engine` — launch an SPMD job.  Rank mains
+  run as fibers under the deterministic cooperative scheduler (one rank
+  fiber at a time; scales to the paper's 256+ process counts), in this
+  process (``engine="cooperative"``, the default) or split across forked
+  workers (``engine="sharded[:N]"``, ``engine="processes[:N]"``).
 * :class:`MPI` — the per-rank facade handed to application ``main(mpi)``.
 * :mod:`~repro.mpi.timemodel` — virtual-time machine models (Lemieux,
   Velocity 2, CMI, the Table-1 uniprocessors, and a testing model).

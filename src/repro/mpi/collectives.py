@@ -98,8 +98,8 @@ def _recv_all(comm, bufs_by_source, tag: int) -> None:
     live = [pr for pr in posted if not pr.matched]
     if live:
         ctx = comm._ctx
-        ctx.mailbox.wait_for(lambda: all(pr.matched for pr in live),
-                             poll=ctx.poll_hook)
+        ctx.engine.scheduler.wait(lambda: all(pr.matched for pr in live),
+                                  ctx.poll_hook)
     for dt, pr, (_source, buf) in zip(types, posted, bufs_by_source):
         comm._complete_dense(pr, dt, buf)
 

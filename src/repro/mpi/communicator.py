@@ -250,7 +250,7 @@ class Communicator:
         envelope and its element count."""
         ctx = self._ctx
         if not pr.matched:
-            ctx.mailbox.wait_for(pr.done, poll=ctx.poll_hook)
+            ctx.engine.scheduler.wait(pr.done, ctx.poll_hook)
         env = pr.envelope
         clock = ctx.clock
         clock.sync_to(env.avail_time)
@@ -384,7 +384,7 @@ class Communicator:
         def found() -> bool:
             return ctx.mailbox.probe_pending(self.context_id, source, tag) is not None
 
-        ctx.mailbox.wait_for(found, poll=ctx.poll_hook)
+        ctx.engine.scheduler.wait(found, ctx.poll_hook)
         env = ctx.mailbox.probe_pending(self.context_id, source, tag)
         assert env is not None
         return Status(source=env.source, tag=env.tag, count=env.count, nbytes=env.nbytes)

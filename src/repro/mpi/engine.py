@@ -14,11 +14,12 @@ runtimes reported in Tables 2-7, and the process counts of the
 evaluation (the cooperative backend runs the paper's true 32-1024-rank
 configurations; see :mod:`repro.harness.platforms`).
 
-Execution backends share all of the above.  ``engine=`` selects one by
+Execution backends share all of the above, and all of them run rank
+mains as fibers under a cooperative scheduler; they differ in how many
+schedulers there are and where they live.  ``engine=`` selects one by
 name from the pluggable registry in :mod:`repro.mpi.backends` (the
-``REPRO_ENGINE`` environment variable overrides the default); the
-engine itself no longer knows the launch paths — each backend class
-owns its own:
+``REPRO_ENGINE`` environment variable overrides the default); each
+backend class owns its launch path:
 
 * ``"cooperative"`` (default) — rank mains run as fibers under the
   deterministic cooperative scheduler (:mod:`repro.mpi.scheduler`):
@@ -42,12 +43,6 @@ owns its own:
   DESIGN.md §12).  The coordinator reuses the sharded framed-message
   protocol; kill evidence (waitpid-confirmed termination signals)
   lands in :attr:`JobResult.real_kills`.
-* ``"threads"`` — the original thread-per-rank model: free-running OS
-  threads, condition-variable mailboxes, 1 MiB stacks, and a wall-clock
-  watchdog as the only deadlock detector.  Kept as an escape hatch and
-  as a differential-testing oracle for the scheduler (the equivalence
-  suite checks both backends produce identical :class:`JobResult`
-  timings on deterministic kernels).
 
 Failure semantics: a triggered :class:`ProcessFailure` kills its rank,
 sets the job-wide abort flag, and every other rank unwinds with
@@ -58,18 +53,18 @@ recorded (and re-raised by :meth:`JobResult.raise_errors`) so test
 failures surface instead of hanging.
 
 Blocking waits carry no timeout: they are woken precisely by deliveries
-and aborts, ``at_time`` faults are signalled by the
+and aborts, and ``at_time`` faults are signalled by the
 :class:`VirtualTimeFaultScheduler` the moment any rank's virtual clock
-crosses the threshold, and a per-run wall-clock watchdog timer wakes all
-mailboxes at the deadline so deadlocked jobs still unwind with
-:class:`DeadlockError`.  See DESIGN.md section 2.
+crosses the threshold.  The scheduler detects an all-blocked deadlock
+the moment it happens, and checks the wall deadline at every switch, so
+a job that runs past it unwinds with :class:`DeadlockError` without any
+watchdog timer.  See DESIGN.md sections 2 and 4.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-import os
 import threading
 import time as _time
 import traceback
@@ -147,7 +142,7 @@ class RankContext:
         #: every send (``Communicator._post``, :meth:`multicast`)
         self.send_seq: Dict[Tuple[int, int], int] = {}
         #: set by the virtual-time fault scheduler (possibly from another
-        #: rank's thread); consumed by this rank at its next check point
+        #: rank's fiber); consumed by this rank at its next check point
         self._due_fault: Optional[FaultSpec] = None
 
     # -- hooks charged on every MPI call ------------------------------------
@@ -155,8 +150,8 @@ class RankContext:
         """Account one MPI operation: overhead charge + fault check + abort check."""
         if self.engine.abort_event.is_set():
             # Any abort unwinds at call entry — fail-stop faults and
-            # error-triggered aborts alike (wait_for already unwinds on
-            # both; entry must agree or error aborts leak past it).
+            # error-triggered aborts alike (blocking waits already unwind
+            # on both; entry must agree or error aborts leak past it).
             raise JobAborted()
         self.op_count += 1
         self.clock.advance(self.machine.call_overhead)
@@ -164,16 +159,16 @@ class RankContext:
         self.engine.fault_plan.check(self.rank, self.op_count, self.clock.now)
 
     def poll_hook(self) -> None:
-        """Abort/fault/watchdog observation point.
+        """Abort/fault/deadline observation point.
 
         Runs on every wakeup of a blocking wait and on every intercepted
         C3 call.  Checking the abort flag here is what unwinds ranks stuck
         in non-blocking poll loops (Test/Iprobe spinning): those paths
         never reach :meth:`enter_mpi_call`, and before this check a rank
-        whose peer died mid-exchange would spin until the wall watchdog.
-        Inside :meth:`Mailbox.wait_for` the predicate is evaluated before
-        this hook, so an operation whose match already arrived still
-        completes.
+        whose peer died mid-exchange would spin until the wall deadline.
+        Inside :meth:`CooperativeScheduler.wait` the predicate is
+        evaluated before this hook, so an operation whose match already
+        arrived still completes.
         """
         if self.engine.abort_event.is_set():
             raise JobAborted()
@@ -192,21 +187,16 @@ class RankContext:
         """Fairness + observation point for failed non-blocking checks.
 
         Called when a ``Test``/``Iprobe``/``has_pending``-style
-        completion check misses.  Under the cooperative scheduler a spin
-        loop would otherwise monopolize the single runner and livelock
-        the job, so every ``NB_YIELD_EVERY``-th miss observes
-        aborts/faults/deadline (like :meth:`poll_hook`) and then yields
-        the loop one scheduling turn.  Under the threaded backend misses
-        stay poll-free, exactly as before.
+        completion check misses.  A spin loop would otherwise monopolize
+        the single runner and livelock the job, so every
+        ``NB_YIELD_EVERY``-th miss observes aborts/faults/deadline (like
+        :meth:`poll_hook`) and then yields the loop one scheduling turn.
         """
-        sched = self.engine.scheduler
-        if sched is None:
-            return
         self._nb_misses += 1
         if self._nb_misses % self.NB_YIELD_EVERY:
             return
         self.poll_hook()
-        sched.yield_now()
+        self.engine.scheduler.yield_now()
 
     # -- protocol/collective fault check points -------------------------------
     def begin_collective(self) -> None:
@@ -377,7 +367,7 @@ class Engine:
         self.fault_plan = fault_plan or FaultPlan.none()
         self.abort_event = threading.Event()
         self.failure: Optional[ProcessFailure] = None
-        self.mailboxes = [Mailbox(r, self.abort_event) for r in range(nprocs)]
+        self.mailboxes = [Mailbox(r) for r in range(nprocs)]
         self._ctx_lock = threading.Lock()
         self._ctx_registry: Dict[Any, Tuple[int, int]] = {}
         self._next_cid = 4
@@ -385,7 +375,8 @@ class Engine:
         self._deadline = 0.0
         self.rank_contexts: List[RankContext] = []
         self.fault_scheduler: Optional[VirtualTimeFaultScheduler] = None
-        #: the cooperative scheduler while a cooperative run is live
+        #: the scheduler running this process's ranks, set at launch
+        #: (a sharded or processes coordinator runs none: its workers do)
         self.scheduler: Optional[CooperativeScheduler] = None
         #: real-kill evidence appended by real-kill backends (parent side)
         self.real_kills: List[Dict[str, Any]] = []
@@ -393,18 +384,6 @@ class Engine:
         #: recording store wrappers here, so rank bodies must read the
         #: job arguments through the engine rather than a closure
         self._job_args: Tuple = ()
-
-    def shard_count(self) -> int:
-        """Requested worker-process count for the sharded backend.
-
-        ``"sharded:N"`` pins it; bare ``"sharded"`` uses the CPU count.
-        :func:`repro.mpi.sharded.plan_shards` clamps to the simulated
-        node count, so oversubscription is impossible either way.
-        """
-        _base, _sep, count = self.backend.partition(":")
-        if count:
-            return int(count)
-        return os.cpu_count() or 1
 
     # -- communicator context ids ------------------------------------------
     def context_for(self, key, force: Optional[Tuple[int, int]] = None
@@ -450,12 +429,7 @@ class Engine:
         for ctx in self.rank_contexts:
             ctx.clock.watch(self.fault_scheduler)
 
-    # -- watchdog -------------------------------------------------------------
-    def _on_wall_deadline(self) -> None:
-        """Timer callback: wake all blocked ranks so they see the deadline."""
-        for mb in self.mailboxes:
-            mb.notify()
-
+    # -- deadline and abort ------------------------------------------------
     def check_deadline(self) -> None:
         if self._deadline and _time.monotonic() > self._deadline:
             if not self.abort_event.is_set():
@@ -537,12 +511,7 @@ class Engine:
 
     def _run_cooperative(self, worker: Callable[[int], None],
                          errors: List[Tuple[int, str]]) -> None:
-        """Run every rank as a fiber under the deterministic scheduler.
-
-        No watchdog timer is needed: the scheduling step itself checks
-        the wall deadline at every switch and detects true deadlocks
-        (all ranks blocked, no predicate true) instantly.
-        """
+        """Run every rank as a fiber under the deterministic scheduler."""
         self.scheduler = CooperativeScheduler(self)
         for mb in self.mailboxes:
             mb.bind_scheduler(self.scheduler)
@@ -559,8 +528,7 @@ def run_job(nprocs: int, main: Callable, args: Tuple = (),
     ``engine`` selects the execution backend by registry name
     (:mod:`repro.mpi.backends`): ``"cooperative"`` (the default —
     deterministic rank fibers, scales to paper process counts),
-    ``"sharded[:N]"``, ``"processes[:N]"``, or ``"threads"``.  ``None``
-    defers to the ``REPRO_ENGINE`` environment variable, then the
+    ``"sharded[:N]"`` or ``"processes[:N]"``.  ``None`` defers to the ``REPRO_ENGINE`` environment variable, then the
     default.
     """
     eng = Engine(nprocs, machine=machine, fault_plan=fault_plan, seed=seed,

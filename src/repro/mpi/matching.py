@@ -40,27 +40,21 @@ sender sequence number, which the protocol layer compares against
 epochs), and Section 4.1's piggyback channel (envelopes carry the
 sender's C3 piggyback alongside the payload).
 
-Synchronization is backend-dependent.  Under the default cooperative
-scheduler (:mod:`repro.mpi.scheduler`) exactly one rank runs at a time,
-so the mailbox uses **no locks and no condition variables**: blocking
-operations suspend their rank fiber and deliveries mark the destination
+Synchronization: every backend runs ranks as fibers under a
+cooperative scheduler (:mod:`repro.mpi.scheduler`), so exactly one rank
+touches a mailbox at a time and the mailbox uses **no locks and no
+condition variables**.  Blocking operations suspend their rank fiber in
+:meth:`CooperativeScheduler.wait`, and deliveries mark the destination
 rank dirty, waking exactly the ranks whose wait predicate became true.
-Under the ``engine="threads"`` backend all state is protected by a
-single condition variable; blocking operations wait on it
-*indefinitely* — there is no timeout poll — and are woken precisely by
-deliveries, job aborts, the engine's virtual-time fault scheduler, and
-the wall-clock watchdog (see :mod:`repro.mpi.engine`).
 """
 
 from __future__ import annotations
 
-import threading
 from collections import deque
-from contextlib import nullcontext
 from operator import itemgetter
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
-from .errors import JobAborted, TruncationError
+from .errors import TruncationError
 from .message import Envelope
 
 ANY_SOURCE = -1
@@ -124,19 +118,11 @@ class PostedRecv:
         self.matched = True
 
 
-#: shared reusable no-op mutex for scheduler-bound (single-runner) mailboxes
-_NO_MUTEX = nullcontext()
-
-
 class Mailbox:
     """All incoming traffic for one rank."""
 
-    def __init__(self, rank: int, abort_event: threading.Event):
+    def __init__(self, rank: int):
         self.rank = rank
-        self._abort = abort_event
-        self._cond = threading.Condition()
-        #: condition variable (threads) or no-op (cooperative scheduler)
-        self._mutex = self._cond
         #: cooperative scheduler this mailbox reports wakeups to, if any
         self._sched = None
         #: signature -> deque of (arrival stamp, envelope), arrival order
@@ -160,52 +146,42 @@ class Mailbox:
         self.delivered_count = 0
         self.delivered_bytes = 0
 
-    # -- backend binding -----------------------------------------------------
+    # -- scheduler binding ---------------------------------------------------
     def bind_scheduler(self, scheduler) -> None:
-        """Run lock-free under a cooperative scheduler.
-
-        With a single runner the condition variable is dead weight: the
-        mutex becomes a no-op and wakeups become exact dirty-rank notes
-        for the scheduler's next step.  Called by the engine before a
-        cooperative run; a bound mailbox must no longer be touched from
-        free-running threads.
-        """
+        """Report wakeups to ``scheduler``: every delivery or notification
+        becomes a dirty-rank note for its next scheduling step.  Called
+        before a run; an unbound mailbox only matches."""
         self._sched = scheduler
-        self._mutex = _NO_MUTEX
 
     def _wake(self) -> None:
-        """Wake whoever waits on this mailbox (backend-appropriate)."""
         if self._sched is not None:
             self._sched.mailbox_activity(self.rank)
-        else:
-            self._cond.notify_all()
 
-    # -- delivery (called from sender threads) ------------------------------
+    # -- delivery (called from the sending rank) ------------------------------
     def deliver(self, env: Envelope) -> None:
         """Hand an envelope to this rank; matches a posted receive if any."""
-        with self._mutex:
-            self.delivered_count += 1
-            self.delivered_bytes += len(env.payload)
-            key = env.signature
-            if self._posted_total:
-                pr = self._take_posted(env, key)
-                if pr is not None:
-                    pr._match(env)
-                    self._wake()
-                    return
-            ctx = key.context_id
-            bucket = self._pending.get(key)
-            if bucket is None:
-                bucket = self._pending[key] = deque()
-                sigs = self._ctx_sigs.get(ctx)
-                if sigs is None:
-                    sigs = self._ctx_sigs[ctx] = set()
-                sigs.add(key)
-            bucket.append((self._arrival_seq, env))
-            self._arrival_seq += 1
-            self._pending_total += 1
-            self._pending_by_ctx[ctx] = self._pending_by_ctx.get(ctx, 0) + 1
-            self._wake()
+        self.delivered_count += 1
+        self.delivered_bytes += len(env.payload)
+        key = env.signature
+        if self._posted_total:
+            pr = self._take_posted(env, key)
+            if pr is not None:
+                pr._match(env)
+                self._wake()
+                return
+        ctx = key.context_id
+        bucket = self._pending.get(key)
+        if bucket is None:
+            bucket = self._pending[key] = deque()
+            sigs = self._ctx_sigs.get(ctx)
+            if sigs is None:
+                sigs = self._ctx_sigs[ctx] = set()
+            sigs.add(key)
+        bucket.append((self._arrival_seq, env))
+        self._arrival_seq += 1
+        self._pending_total += 1
+        self._pending_by_ctx[ctx] = self._pending_by_ctx.get(ctx, 0) + 1
+        self._wake()
 
     def _take_posted(self, env: Envelope,
                      key: Signature) -> Optional[PostedRecv]:
@@ -234,30 +210,29 @@ class Mailbox:
     # -- posting receives ----------------------------------------------------
     def post(self, pr: PostedRecv) -> None:
         """Post a receive; matches the oldest pending envelope if one fits."""
-        with self._mutex:
-            source, tag = pr.source, pr.tag
-            if source != ANY_SOURCE and tag != ANY_TAG:
-                sig = (source, tag, pr.context_id)
-                # pending buckets are deleted when they empty
-                key = sig if sig in self._pending else None
-            else:
-                sig = None
-                key = self._oldest_pending_key(pr.context_id, source, tag)
-            if key is not None:
-                env = self._pop_pending(key)
-                pr._match(env)
-                self._wake()
-                return
-            pr.post_seq = self._post_seq
-            self._post_seq += 1
-            if sig is not None:
-                bucket = self._posted_exact.get(sig)
-                if bucket is None:
-                    bucket = self._posted_exact[sig] = deque()
-                bucket.append(pr)
-            else:
-                self._posted_wild.append(pr)
-            self._posted_total += 1
+        source, tag = pr.source, pr.tag
+        if source != ANY_SOURCE and tag != ANY_TAG:
+            sig = (source, tag, pr.context_id)
+            # pending buckets are deleted when they empty
+            key = sig if sig in self._pending else None
+        else:
+            sig = None
+            key = self._oldest_pending_key(pr.context_id, source, tag)
+        if key is not None:
+            env = self._pop_pending(key)
+            pr._match(env)
+            self._wake()
+            return
+        pr.post_seq = self._post_seq
+        self._post_seq += 1
+        if sig is not None:
+            bucket = self._posted_exact.get(sig)
+            if bucket is None:
+                bucket = self._posted_exact[sig] = deque()
+            bucket.append(pr)
+        else:
+            self._posted_wild.append(pr)
+        self._posted_total += 1
 
     def _oldest_pending_key(self, context_id: int, source: int,
                             tag: int) -> Optional[Signature]:
@@ -303,61 +278,27 @@ class Mailbox:
 
     def cancel(self, pr: PostedRecv) -> bool:
         """Cancel a posted receive; returns False if it already matched."""
-        with self._mutex:
-            if pr.matched:
-                return False
-            pr.cancelled = True
-            if pr.wildcard:
-                if pr in self._posted_wild:
-                    self._posted_wild.remove(pr)
-                    self._posted_total -= 1
-            else:
-                sig = (pr.source, pr.tag, pr.context_id)
-                bucket = self._posted_exact.get(sig)
-                if bucket is not None and pr in bucket:
-                    bucket.remove(pr)
-                    if not bucket:
-                        del self._posted_exact[sig]
-                    self._posted_total -= 1
-            return True
+        if pr.matched:
+            return False
+        pr.cancelled = True
+        if pr.wildcard:
+            if pr in self._posted_wild:
+                self._posted_wild.remove(pr)
+                self._posted_total -= 1
+        else:
+            sig = (pr.source, pr.tag, pr.context_id)
+            bucket = self._posted_exact.get(sig)
+            if bucket is not None and pr in bucket:
+                bucket.remove(pr)
+                if not bucket:
+                    del self._posted_exact[sig]
+                self._posted_total -= 1
+        return True
 
-    # -- waiting --------------------------------------------------------------
-    def wait_for(self, predicate: Callable[[], bool], poll: Optional[Callable[[], None]] = None) -> None:
-        """Block until ``predicate()`` is true or the job aborts.
-
-        The predicate is checked *before* the abort flag so an operation
-        whose match has already arrived completes instead of being
-        retroactively reported as aborted.
-
-        There is no timeout: the wait is woken precisely by deliveries
-        into this mailbox, by :meth:`notify` (job abort, due virtual-time
-        faults, the wall-clock watchdog).  ``poll`` (if given) runs on
-        every wakeup — the engine uses it to raise due faults and
-        deadline errors inside the blocked rank's own thread.
-
-        Under a cooperative scheduler the same contract holds, but the
-        wait suspends this rank's fiber instead of a condition variable;
-        the scheduler resumes it when the predicate becomes true.
-        """
-        if self._sched is not None:
-            self._sched.wait(predicate, poll)
-            return
-        with self._mutex:
-            while True:
-                if predicate():
-                    return
-                if self._abort.is_set():
-                    raise JobAborted()
-                if poll is not None:
-                    poll()
-                    if predicate():
-                        return
-                self._cond.wait()
-
+    # -- waking ---------------------------------------------------------------
     def notify(self) -> None:
-        """Wake any thread blocked on this mailbox (abort, fault, watchdog)."""
-        with self._mutex:
-            self._wake()
+        """Wake this rank if it is blocked (abort, due fault)."""
+        self._wake()
 
     def pop_pending(self, context_id: int, source: int, tag: int) -> Optional[Envelope]:
         """Pop the oldest pending envelope matching the triple, if any.
@@ -367,11 +308,10 @@ class Mailbox:
         the matching engine ever seeing a posted/pending rendezvous.
         Ordering is the same oldest-arrival rule a wildcard receive uses.
         """
-        with self._mutex:
-            key = self._oldest_pending_key(context_id, source, tag)
-            if key is None:
-                return None
-            return self._pop_pending(key)
+        key = self._oldest_pending_key(context_id, source, tag)
+        if key is None:
+            return None
+        return self._pop_pending(key)
 
     def drain_pending(self, context_id: int, tag: int) -> List[Envelope]:
         """Pop every pending envelope on ``context_id`` with ``tag``.
@@ -382,48 +322,43 @@ class Mailbox:
         buckets instead of one bucket scan per envelope.  Envelopes with
         other tags and posted receives are left alone.
         """
-        with self._mutex:
-            sigs = self._ctx_sigs.get(context_id)
-            keys = [key for key in sigs if key[1] == tag] if sigs else ()
-            if not keys:
-                return []
-            stamped: List[Tuple[int, Envelope]] = []
-            for key in keys:
-                stamped.extend(self._pending.pop(key))
-            sigs.difference_update(keys)
-            if not sigs:
-                del self._ctx_sigs[context_id]
-            n = len(stamped)
-            self._pending_total -= n
-            remaining = self._pending_by_ctx[context_id] - n
-            if remaining:
-                self._pending_by_ctx[context_id] = remaining
-            else:
-                del self._pending_by_ctx[context_id]
-            # buckets are each in arrival order; stamps are unique
-            stamped.sort(key=itemgetter(0))
-            return [env for _, env in stamped]
+        sigs = self._ctx_sigs.get(context_id)
+        keys = [key for key in sigs if key[1] == tag] if sigs else ()
+        if not keys:
+            return []
+        stamped: List[Tuple[int, Envelope]] = []
+        for key in keys:
+            stamped.extend(self._pending.pop(key))
+        sigs.difference_update(keys)
+        if not sigs:
+            del self._ctx_sigs[context_id]
+        n = len(stamped)
+        self._pending_total -= n
+        remaining = self._pending_by_ctx[context_id] - n
+        if remaining:
+            self._pending_by_ctx[context_id] = remaining
+        else:
+            del self._pending_by_ctx[context_id]
+        # buckets are each in arrival order; stamps are unique
+        stamped.sort(key=itemgetter(0))
+        return [env for _, env in stamped]
 
     # -- probing ---------------------------------------------------------------
     def probe_pending(self, context_id: int, source: int, tag: int) -> Optional[Envelope]:
         """Oldest pending envelope matching the triple, without removing it."""
-        with self._mutex:
-            key = self._oldest_pending_key(context_id, source, tag)
-            if key is None:
-                return None
-            return self._pending[key][0][1]
+        key = self._oldest_pending_key(context_id, source, tag)
+        if key is None:
+            return None
+        return self._pending[key][0][1]
 
     def has_pending(self, context_id: int) -> bool:
         """O(1): is any envelope pending on this context?"""
-        with self._mutex:
-            return bool(self._pending_by_ctx.get(context_id))
+        return bool(self._pending_by_ctx.get(context_id))
 
     def pending_count(self, context_id: Optional[int] = None) -> int:
-        with self._mutex:
-            if context_id is None:
-                return self._pending_total
-            return self._pending_by_ctx.get(context_id, 0)
+        if context_id is None:
+            return self._pending_total
+        return self._pending_by_ctx.get(context_id, 0)
 
     def posted_count(self) -> int:
-        with self._mutex:
-            return self._posted_total
+        return self._posted_total

@@ -121,8 +121,8 @@ class ProcessesBackend(ExecutionBackend):
             return int(count)
         return engine.nprocs  # >= node count, so: one process per node
 
-    def _launch(self, engine, body: Callable[[int], None], timeout: float,
-                errors: List[Tuple[int, str]], returns: List[Any]) -> None:
+    def launch(self, engine, body: Callable[[int], None], timeout: float,
+               errors: List[Tuple[int, str]], returns: List[Any]) -> None:
         require_shared_store(engine)
         from .sharded import run_sharded  # local import, no cycle
         run_sharded(engine, body, timeout, errors, returns,

@@ -81,7 +81,7 @@ class Request:
         """Block until complete; returns the filled Status (``MPI_Wait``)."""
         self._check_not_released()
         ctx = self._rank_ctx
-        ctx.mailbox.wait_for(self.is_complete, poll=ctx.poll_hook)
+        ctx.engine.scheduler.wait(self.is_complete, ctx.poll_hook)
         status = self._finish()
         self.released = True
         return status
@@ -144,8 +144,8 @@ def wait_all(requests: Sequence[Request]) -> List[Status]:
     live = [r for r in requests if not r.is_complete()]
     if live:
         ctx = live[0]._rank_ctx
-        ctx.mailbox.wait_for(lambda: all(r.is_complete() for r in live),
-                             poll=ctx.poll_hook)
+        ctx.engine.scheduler.wait(
+            lambda: all(r.is_complete() for r in live), ctx.poll_hook)
     statuses: List[Status] = []
     for r in requests:
         r._check_not_released()  # a duplicated request raises, as r.wait() would
@@ -167,7 +167,7 @@ def wait_any(requests: Sequence[Request]) -> Tuple[int, Status]:
     def some_done() -> bool:
         return any(r.is_complete() for r in live)
 
-    ctx.mailbox.wait_for(some_done, poll=ctx.poll_hook)
+    ctx.engine.scheduler.wait(some_done, ctx.poll_hook)
     for i, r in enumerate(requests):
         if not r.released and r.is_complete():
             status = r._finish()
@@ -182,7 +182,8 @@ def wait_some(requests: Sequence[Request]) -> Tuple[List[int], List[Status]]:
     if not live:
         return [], []
     ctx = live[0]._rank_ctx
-    ctx.mailbox.wait_for(lambda: any(r.is_complete() for r in live), poll=ctx.poll_hook)
+    ctx.engine.scheduler.wait(
+        lambda: any(r.is_complete() for r in live), ctx.poll_hook)
     indices: List[int] = []
     statuses: List[Status] = []
     for i, r in enumerate(requests):

@@ -15,8 +15,8 @@ Exactly one rank executes at any instant, so
   plan — every run of the same job is bit-identical;
 * the mailbox needs **no locks and no condition variables**: all
   matching state is mutated by whichever single task is running (the
-  engine binds each mailbox to the scheduler, replacing its condition
-  variable with a wakeup note for the scheduling step);
+  engine binds each mailbox to the scheduler, so a delivery is just a
+  wakeup note for the scheduling step);
 * **wakeups are exact**: a delivery or notification marks the target
   rank dirty, and the scheduling step re-evaluates only dirty ranks' wait
   predicates, resuming exactly the ranks whose predicate became true
@@ -41,8 +41,7 @@ explicit yield points — is what delivers the determinism and the
 scalability; the carrier threads are an implementation detail that
 never run concurrently.  This is what lets platform models run at the
 paper's true process counts (256+ ranks sweep in
-:mod:`repro.harness.scaling`) instead of the downscaled 4/8/16 used by
-the original thread-per-rank engine.
+:mod:`repro.harness.scaling`).
 
 Rank code must reach its blocking points *through the simulated MPI
 layer*: a task that blocks on a bare OS primitive (``Event.wait``,
@@ -52,8 +51,7 @@ job is past its wall deadline plus :attr:`CooperativeScheduler.HANDOFF_GRACE`
 and the running task has not parked for a whole watch period, the task
 is abandoned (its daemon carrier leaks; if it ever parks or finishes, it
 sees itself abandoned and stops without touching the scheduler) and the
-job aborts with an engine-watchdog error, mirroring the threaded
-backend's behavior for ranks that never terminate.
+job aborts with an engine-watchdog error.
 
 See DESIGN.md section 4 for the execution-model contract.
 """
@@ -105,9 +103,8 @@ class CooperativeScheduler:
 
     #: carrier-thread stack size: tasks never recurse deeply, and with
     #: one runner at a time there is no per-thread working set beyond
-    #: the (lazily committed) stack — 512 KiB is half the threaded
-    #: backend's 1 MiB and bounds a 1024-rank job to 0.5 GiB of
-    #: *virtual* address space
+    #: the (lazily committed) stack — 512 KiB bounds a 1024-rank job to
+    #: 0.5 GiB of *virtual* address space
     STACK_BYTES = 512 << 10
 
     #: extra wall-clock grace beyond the job deadline before the
@@ -161,14 +158,15 @@ class CooperativeScheduler:
     # -- task-side suspension points ---------------------------------------
     def wait(self, predicate: Callable[[], bool],
              poll: Optional[Callable[[], None]] = None) -> None:
-        """Cooperative :meth:`Mailbox.wait_for`: park until the predicate
-        holds or the job aborts/deadlocks.
+        """Park the calling rank until ``predicate()`` holds or the job
+        aborts/deadlocks.
 
-        Semantics match the threaded wait loop exactly: the predicate is
-        checked before the abort flag (an operation whose match already
-        arrived completes even under abort), and ``poll`` runs on every
-        wakeup in the task's own context so due faults and deadline
-        errors raise on the right rank.
+        There is no timeout: the scheduling step resumes the rank when a
+        delivery or notification makes its predicate true.  The
+        predicate is checked before the abort flag (an operation whose
+        match already arrived completes even under abort), and ``poll``
+        runs on every wakeup in the task's own context so due faults and
+        deadline errors raise on the right rank.
         """
         task = self._current
         abort = self.engine.abort_event
@@ -191,8 +189,13 @@ class CooperativeScheduler:
 
         Called on failed non-blocking completion checks so ``Test`` /
         ``Iprobe`` spin loops let their peers progress instead of
-        monopolizing the single runner.
+        monopolizing the single runner.  Raises :class:`JobAborted` once
+        the job aborted: the task is taken from ``_current``, and a
+        carrier the watchdog abandoned (which always aborts the job
+        first) must not park the task that holds the runner now.
         """
+        if self.engine.abort_event.is_set():
+            raise JobAborted()
         task = self._current
         if task is not None:
             self._park(task, _YIELDED)
@@ -294,8 +297,8 @@ class CooperativeScheduler:
         blocked = self._blocked
         if abandoned:
             # The task never yielded: it is stuck in a non-MPI blocking
-            # call or an unbounded compute.  Fail the job like the
-            # threaded watchdog would and stop trusting the task.
+            # call or an unbounded compute.  Fail the job and stop
+            # trusting the task.
             self._errors.append((
                 -1,
                 f"cooperative engine watchdog: rank {left.rank} never "

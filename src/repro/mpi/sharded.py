@@ -32,8 +32,8 @@ Why this shape:
   :class:`~repro.mpi.engine.JobResult` (returns, clocks, sent counts)
   is bit-identical to the cooperative engine's.  Killed runs guarantee
   the victim's failure record; surviving peers' unwind clocks are not
-  compared (same grade as the threads backend), and kill+restart is
-  pinned end-to-end on the recovered result instead;
+  compared, and kill+restart is pinned end-to-end on the recovered
+  result instead;
 * **shards=1 degenerates exactly** — one shard means no fork and no
   window: the run *is* the cooperative run, same scheduler, same
   switch count.
@@ -510,8 +510,7 @@ class _ShardHandle:
 
 
 def run_sharded(engine, body: Callable[[int], None], timeout: float,
-                errors: List, returns: List[Any], *,
-                n_shards: Optional[int] = None,
+                errors: List, returns: List[Any], *, n_shards: int,
                 real_kill: bool = False) -> None:
     """Fork one worker per shard and route cross-shard traffic.
 
@@ -528,8 +527,7 @@ def run_sharded(engine, body: Callable[[int], None], timeout: float,
     status before its evidence lands in ``engine.real_kills``.
     """
     shards = plan_shards(engine.nprocs, engine.machine.procs_per_node,
-                         engine.shard_count() if n_shards is None
-                         else n_shards)
+                         n_shards)
     if len(shards) == 1 and not real_kill:
         # Exact reduction: one shard IS the cooperative engine — same
         # scheduler, same schedule, same switch count, no fork.  A

@@ -39,10 +39,11 @@ class DrainDevice:
     crash-consistent — a rank killed mid-drain leaves sections without a
     marker, and recovery falls back to the previous committed line.
 
-    Under the default cooperative scheduler exactly one rank runs at a
-    time, so submission order — and therefore every completion time — is
-    deterministic.  The lock only matters for the threaded escape-hatch
-    backend.
+    Exactly one rank fiber of a job runs at a time, so submission order
+    — and therefore every completion time — is deterministic, and the
+    lock is never contended by the ranks themselves; it keeps
+    :meth:`submit` and :meth:`busy_until` atomic for any other thread
+    that holds the device.
     """
 
     def __init__(self, machine: MachineModel, nprocs: int):

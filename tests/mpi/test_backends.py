@@ -1,14 +1,13 @@
 """The execution-backend registry: one source of truth for engines.
 
 DESIGN.md §12: ``repro.mpi.backends`` owns the backend vocabulary —
-spellings, capability flags, availability probes, watchdog ownership —
-and every other layer (``Engine.run`` dispatch, the study CLIs'
-``--engine``, ``service.JobSpec`` validation) derives from it.  These
-tests pin the registry contents, the resolution semantics the old
-inline table provided (so existing spellings keep working), the
-capability flags the studies consult, the unified watchdog's no-leak
-guarantee, and the degrade-with-a-reason path for a registered but
-unavailable backend.
+spellings, capability flags, availability probes — and every other
+layer (``Engine.run`` dispatch, the study CLIs' ``--engine``,
+``service.JobSpec`` validation) derives from it.  These tests pin the
+registry contents, the resolution semantics (so existing spellings keep
+working), the capability flags the studies consult, that no run arms a
+wall-clock Timer, and the degrade-with-a-reason path for a registered
+but unavailable backend.
 """
 
 import threading
@@ -28,9 +27,8 @@ from repro.mpi.processes import ProcessesBackend
 # ---------------------------------------------------------------------------
 
 class TestRegistry:
-    def test_four_backends_registered(self):
-        assert engine_choices() == ["cooperative", "threads", "sharded",
-                                    "processes"]
+    def test_three_backends_registered(self):
+        assert engine_choices() == ["cooperative", "sharded", "processes"]
 
     def test_every_backend_is_self_consistent(self):
         for name, b in BACKENDS.items():
@@ -40,7 +38,6 @@ class TestRegistry:
 
     def test_aliases_resolve_to_canonical(self):
         assert resolve_backend("coop") == "cooperative"
-        assert resolve_backend("threaded") == "threads"
         assert resolve_backend("shard") == "sharded"
         assert resolve_backend("process") == "processes"
         assert resolve_backend("procs") == "processes"
@@ -50,7 +47,7 @@ class TestRegistry:
         assert resolve_backend("processes:2") == "processes:2"
         assert resolve_backend("procs:8") == "processes:8"
         with pytest.raises(ValueError, match="takes no ':N' suffix"):
-            resolve_backend("threads:2")
+            resolve_backend("coop:2")
         with pytest.raises(ValueError, match="bad worker count"):
             resolve_backend("processes:zero")
 
@@ -85,16 +82,9 @@ class TestRegistry:
 class TestCapabilityFlags:
     def test_oracle_is_deterministic_and_simulated(self):
         coop = BACKENDS["cooperative"]
-        assert coop.deterministic
         assert not coop.supports_real_kill
         assert not coop.supports_shards
-        assert not coop.uses_wall_timer
-
-    def test_threads_flags(self):
-        threads = BACKENDS["threads"]
-        assert not threads.deterministic
-        assert threads.uses_wall_timer
-        assert not threads.supports_real_kill
+        assert not coop.takes_count
 
     def test_sharded_flags(self):
         sharded = BACKENDS["sharded"]
@@ -107,11 +97,10 @@ class TestCapabilityFlags:
         assert procs.supports_real_kill
         assert procs.supports_shards
         assert procs.takes_count
-        assert procs.deterministic
 
 
 # ---------------------------------------------------------------------------
-# Unified watchdog ownership (the Timer-leak bugfix)
+# No wall-clock Timer: the scheduler observes the deadline at every switch
 # ---------------------------------------------------------------------------
 
 def _live_timers():
@@ -119,61 +108,7 @@ def _live_timers():
             if isinstance(t, threading.Timer) and t.is_alive()]
 
 
-class _Stub:
-    def __init__(self):
-        self.deadline_fired = False
-
-    def _on_wall_deadline(self):  # pragma: no cover - must not fire
-        self.deadline_fired = True
-
-
 class TestWatchdogOwnership:
-    def test_timer_cancelled_on_clean_exit(self):
-        class Quick(ExecutionBackend):
-            name = "quick"
-            uses_wall_timer = True
-
-            def _launch(self, engine, body, timeout, errors, returns):
-                pass
-
-        stub = _Stub()
-        Quick().launch(stub, lambda r: None, 30.0, [], [])
-        deadline = threading.Event()
-        for _ in range(50):
-            if not _live_timers():
-                break
-            deadline.wait(0.05)
-        assert not _live_timers()
-        assert not stub.deadline_fired
-
-    def test_timer_cancelled_when_launch_raises(self):
-        class Boom(ExecutionBackend):
-            name = "boom"
-            uses_wall_timer = True
-
-            def _launch(self, engine, body, timeout, errors, returns):
-                raise RuntimeError("mid-launch failure")
-
-        stub = _Stub()
-        with pytest.raises(RuntimeError, match="mid-launch"):
-            Boom().launch(stub, lambda r: None, 30.0, [], [])
-        for _ in range(50):
-            if not _live_timers():
-                break
-            threading.Event().wait(0.05)
-        assert not _live_timers()
-        assert not stub.deadline_fired
-
-    def test_threads_job_leaves_no_timer_behind(self):
-        result = run_job(2, lambda mpi: mpi.rank, engine="threads",
-                         wall_timeout=30)
-        result.raise_errors()
-        for _ in range(50):
-            if not _live_timers():
-                break
-            threading.Event().wait(0.05)
-        assert not _live_timers()
-
     def test_cooperative_never_arms_a_timer(self):
         before = len(_live_timers())
         result = run_job(2, lambda mpi: mpi.rank, engine="cooperative",

@@ -17,22 +17,33 @@ class TestBackendSelection:
 
     def test_aliases(self):
         assert resolve_backend("coop") == "cooperative"
-        assert resolve_backend("threaded") == "threads"
-        assert resolve_backend("THREADS") == "threads"
+        assert resolve_backend("COOPERATIVE") == "cooperative"
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown engine backend"):
             run_job(2, lambda mpi: mpi.rank, engine="fibers")
 
     def test_env_var_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "threads")
-        assert resolve_backend(None) == "threads"
+        monkeypatch.setenv("REPRO_ENGINE", "sharded:2")
+        assert resolve_backend(None) == "sharded:2"
         # explicit argument beats the environment
         assert resolve_backend("cooperative") == "cooperative"
 
-    def test_threads_backend_still_runs(self):
-        result = run_job(4, lambda mpi: mpi.rank, engine="threads")
-        assert result.returns == [0, 1, 2, 3]
+    def test_retired_threads_spellings_rejected(self, monkeypatch):
+        """The thread-per-rank backend is gone: its spellings fail like
+        any unknown name, in the registry and at service submission."""
+        from repro.mpi.backends import engine_choices
+        from repro.service import JobSpec
+
+        assert engine_choices() == ["cooperative", "sharded", "processes"]
+        for spelling in ("threads", "threaded", "thread", "THREADS"):
+            with pytest.raises(ValueError, match="unknown engine backend"):
+                resolve_backend(spelling)
+            with pytest.raises(ValueError, match="unknown engine backend"):
+                JobSpec(app="ring", engine=spelling)
+        monkeypatch.setenv("REPRO_ENGINE", "threads")
+        with pytest.raises(ValueError, match="unknown engine backend"):
+            resolve_backend(None)
 
 
 class TestPaperScaleSmoke:
@@ -98,8 +109,8 @@ def _wildcard_kernel(mpi):
     """Seeded, wildcard-heavy, schedule-independent kernel.
 
     Wildcards are exercised two ways that keep matching deterministic
-    under ANY thread interleaving, so both backends must produce
-    bit-identical results:
+    under any schedule, so every backend must produce bit-identical
+    results:
 
     * ``ANY_TAG`` receives from a *specific* source — the overflow
       (wildcard) list arbitration runs, but per-source FIFO pins the
@@ -142,21 +153,22 @@ def _wildcard_kernel(mpi):
 
 
 class TestBackendEquivalence:
-    """Threads and cooperative must agree bit-for-bit on deterministic
-    kernels — the scheduler's differential-testing oracle."""
+    """Cooperative and sharded must agree bit-for-bit on deterministic
+    kernels: the wildcard ordering is pinned by the program, not by
+    which scheduler (or how many) runs the ranks."""
 
     @pytest.mark.parametrize("nprocs", [2, 8])
     def test_wildcard_kernel_jobresult_equivalence(self, nprocs):
         coop = run_job(nprocs, _wildcard_kernel, wall_timeout=60,
                        engine="cooperative")
-        thr = run_job(nprocs, _wildcard_kernel, wall_timeout=60,
-                      engine="threads")
+        shard = run_job(nprocs, _wildcard_kernel, wall_timeout=60,
+                        engine="sharded:2")
         coop.raise_errors()
-        thr.raise_errors()
-        assert coop.returns == thr.returns
-        assert coop.clocks == thr.clocks          # bitwise virtual times
-        assert coop.sent_counts == thr.sent_counts
-        assert coop.sent_bytes == thr.sent_bytes
+        shard.raise_errors()
+        assert coop.returns == shard.returns
+        assert coop.clocks == shard.clocks        # bitwise virtual times
+        assert coop.sent_counts == shard.sent_counts
+        assert coop.sent_bytes == shard.sent_bytes
 
 
 class TestInstantDeadlockDetection:
@@ -246,9 +258,8 @@ class TestSpinFairness:
         assert result.returns == [7.0, 7.0]
 
     def test_abort_unwinds_spinning_rank(self):
-        """The cooperative analog of the threaded unwind-at-call-entry
-        regression: a rank spinning on Test observes a peer's error
-        abort through the nb_poll observation point and unwinds."""
+        """A rank spinning on Test observes a peer's error abort through
+        the nb_poll observation point and unwinds."""
         def main(mpi):
             comm = mpi.COMM_WORLD
             if mpi.rank == 1:
@@ -265,8 +276,7 @@ class TestSpinFairness:
 
 class TestSchedulerInternals:
     def test_scheduler_runs_lock_free_mailboxes(self):
-        """Cooperative runs bind every mailbox to the scheduler (no
-        condition-variable path)."""
+        """Cooperative runs bind every mailbox to the scheduler."""
         from repro.mpi.engine import Engine
 
         eng = Engine(3, engine="cooperative")
@@ -276,13 +286,3 @@ class TestSchedulerInternals:
         assert eng.scheduler.switches > 0
         for mb in eng.mailboxes:
             assert mb._sched is eng.scheduler
-
-    def test_threads_engine_keeps_condition_variables(self):
-        from repro.mpi.engine import Engine
-
-        eng = Engine(3, engine="threads")
-        eng.run(lambda mpi: mpi.rank)
-        assert eng.backend == "threads"
-        assert eng.scheduler is None
-        for mb in eng.mailboxes:
-            assert mb._sched is None

@@ -45,6 +45,7 @@ from repro.mpi import FaultPlan, FaultSpec, run_job
 from repro.mpi.communicator import PROC_NULL, TAG_UB, Communicator
 from repro.mpi.datatypes import from_numpy_dtype
 from repro.mpi.engine import Engine
+from repro.mpi.errors import JobAborted
 from repro.mpi.matching import ANY_SOURCE, ANY_TAG
 from repro.mpi.message import Envelope, MessageSignature
 from repro.mpi.requests import Request, wait_all
@@ -444,12 +445,6 @@ def test_bitwise_equal_under_sharded_engine(monkeypatch, app, nprocs, mode):
     assert out["failure"] is None and not out["errors"]
 
 
-def test_threads_engine_still_runs_the_fused_branch(monkeypatch):
-    out = _differential(monkeypatch, "heat", 8, "original", engine="threads")
-    assert out["failure"] is None and not out["errors"]
-    assert out["switches"] is None
-
-
 # -- faults ------------------------------------------------------------------------
 
 VICTIM = 3
@@ -719,6 +714,47 @@ def test_watchdog_abandons_a_rank_blocked_outside_mpi(monkeypatch):
     assert sched.switches == switches
     assert (sched._live, list(sched._runnable), sched._blocked) == (0, [], {})
     assert not crashes
+
+    after = run_job(4, main)
+    assert not after.errors and after.failure is None
+    assert after.returns == [0, 1, 2, 3]
+
+
+def test_abandoned_carrier_cannot_yield_into_the_ended_job(monkeypatch):
+    """Regression: ``yield_now`` takes its task from ``_current``, so an
+    abandoned carrier that yields after the job ended used to park the
+    last runner's task and leave it in ``_runnable``.  The watchdog
+    aborts the job before it abandons, so the yield raises instead."""
+    gate = threading.Event()
+    seen = []
+    monkeypatch.setattr(CooperativeScheduler, "HANDOFF_GRACE", 0.2)
+
+    def main(mpi):
+        if mpi.rank == 1 and not gate.is_set():
+            gate.wait()  # a bare OS primitive: the fiber never yields
+            try:
+                mpi._ctx.engine.scheduler.yield_now()
+            except BaseException as exc:
+                seen.append(type(exc))
+                raise
+        mpi.COMM_WORLD.Barrier()
+        return mpi.rank
+
+    eng = Engine(3, wall_timeout=0.3)
+    result = eng.run(main)
+    assert "rank 1 never yielded" in result.errors[0][1]
+    sched = eng.scheduler
+    stuck = sched._tasks[1]
+    before = (sched._current, sched.switches, list(sched._runnable),
+              dict(sched._blocked), sched._live)
+
+    gate.set()
+    stuck.thread.join(5)
+    assert not stuck.thread.is_alive()
+    assert seen == [JobAborted]
+    assert (sched._current, sched.switches, list(sched._runnable),
+            dict(sched._blocked), sched._live) == before
+    assert before[2:] == ([], {}, 0)
 
     after = run_job(4, main)
     assert not after.errors and after.failure is None

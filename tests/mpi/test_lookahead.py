@@ -188,10 +188,15 @@ class _Executor:
             if items:
                 # The release wakes the destination: its ranks resume at
                 # or above the waking envelopes' avail times, so future
-                # reports/sends may come from as low as the minimum.
+                # reports/sends may come from as low as the minimum.  A
+                # blocked destination's old floor is stale: none of its
+                # ranks can act below what wakes them.
+                low = min(i[3] for i in items)
+                if self.blocked[dest]:
+                    self.floors[dest] = low
+                else:
+                    self.floors[dest] = min(self.floors[dest], low)
                 self.blocked[dest] = False
-                self.floors[dest] = min(self.floors[dest],
-                                        min(i[3] for i in items))
             for key, got in per_stream.items():
                 # Invariant 4 (FIFO): the released slice is the oldest
                 # remaining prefix of the stream, in enqueue order.

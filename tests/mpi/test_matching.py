@@ -1,10 +1,14 @@
-"""Mailbox matching semantics: wildcards, ordering, truncation."""
+"""Mailbox matching semantics: wildcards, ordering, truncation.
 
-import threading
+Matching is tested on unbound mailboxes; the wait semantics around it
+run through ``run_job``, where every blocked rank parks in
+``CooperativeScheduler.wait``.
+"""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.mpi import run_job
 from repro.mpi.errors import JobAborted, TruncationError
 from repro.mpi.matching import ANY_SOURCE, ANY_TAG, Mailbox, PostedRecv, signature_matches
 from repro.mpi.message import Envelope, MessageSignature
@@ -16,7 +20,33 @@ def env(source=0, tag=0, ctx=0, payload=b"x", dest=0, seq=0):
 
 
 def mailbox():
-    return Mailbox(0, threading.Event())
+    return Mailbox(0)
+
+
+def _blocked_rank_job(waiter, trigger):
+    """Rank 1 runs ``waiter(ctx)`` until it parks in the scheduler;
+    then rank 0 runs ``trigger(ctx)`` (rank 0 yields first, so rank 1 is
+    blocked by the time the trigger acts)."""
+    parked = []
+
+    def main(mpi):
+        ctx = mpi._ctx
+        if mpi.rank == 0:
+            ctx.engine.scheduler.yield_now()
+            parked.append(1 in ctx.engine.scheduler._blocked)
+            return trigger(ctx)
+        return waiter(ctx)
+
+    result = run_job(2, main, wall_timeout=30)
+    assert parked == [True]
+    return result
+
+
+def _wait_for_delivery(ctx):
+    pr = PostedRecv(0, 0, 0, 100)
+    ctx.mailbox.post(pr)
+    ctx.engine.scheduler.wait(pr.done)
+    return pr.envelope.payload
 
 
 class TestSignatureMatching:
@@ -115,35 +145,47 @@ class TestMailbox:
         assert mb.pending_count() == 1
 
     def test_abort_wakes_wait(self):
-        abort = threading.Event()
-        mb = Mailbox(0, abort)
-        abort.set()
-        with pytest.raises(JobAborted):
-            mb.wait_for(lambda: False)
+        # A rank blocked on a predicate no delivery can satisfy is woken
+        # by the job abort and unwinds with JobAborted, not a deadlock.
+        seen = []
+
+        def waiter(ctx):
+            try:
+                ctx.engine.scheduler.wait(lambda: False)
+            except BaseException as exc:
+                seen.append(type(exc))
+                raise
+
+        def trigger(ctx):
+            raise ValueError("boom")
+
+        result = _blocked_rank_job(waiter, trigger)
+        assert seen == [JobAborted]
+        assert [rank for rank, _tb in result.errors] == [0]
+        assert result.returns == [None, None]
 
     def test_abort_after_delivery_still_completes(self):
         # Regression: the predicate must be checked before the abort flag,
         # or an operation whose match already arrived is retroactively
         # reported as JobAborted.
-        abort = threading.Event()
-        mb = Mailbox(0, abort)
-        pr = PostedRecv(0, 0, 0, 100)
-        mb.post(pr)
-        mb.deliver(env(0, 0, 0, b"data"))
-        abort.set()
-        mb.wait_for(lambda: pr.matched)  # must NOT raise JobAborted
-        assert pr.envelope.payload == b"data"
+        def trigger(ctx):
+            ctx.engine.mailboxes[1].deliver(env(0, 0, 0, b"data", dest=1))
+            raise ValueError("boom")
+
+        result = _blocked_rank_job(_wait_for_delivery, trigger)
+        assert [rank for rank, _tb in result.errors] == [0]
+        assert result.returns == [None, b"data"]
 
     def test_delivery_wakes_blocked_waiter_without_timeout(self):
         # The wait has no timeout poll: a delivery must wake it directly.
-        mb = mailbox()
-        pr = PostedRecv(0, 0, 0, 100)
-        mb.post(pr)
-        t = threading.Thread(target=mb.wait_for, args=(lambda: pr.matched,))
-        t.start()
-        mb.deliver(env(0, 0, 0))
-        t.join(timeout=5.0)
-        assert not t.is_alive()
+        def trigger(ctx):
+            ctx.engine.mailboxes[1].deliver(env(0, 0, 0, b"data", dest=1))
+            return "sent"
+
+        result = _blocked_rank_job(_wait_for_delivery, trigger)
+        result.raise_errors()
+        assert result.returns == ["sent", b"data"]
+        assert result.wall_seconds < 10.0
 
     def test_stats(self):
         mb = mailbox()
@@ -287,20 +329,6 @@ class TestDrainPending:
         assert mb.drain_pending(7, 2) == []
         assert (mb.pending_count(), mb.pending_count(0),
                 dict(mb._ctx_sigs), mb._arrival_seq) == before
-
-    def test_holds_the_mutex_when_unbound(self):
-        mb = mailbox()
-        mb.deliver(env(1, 1, 0))
-        got = []
-        with mb._cond:
-            t = threading.Thread(target=lambda: got.append(
-                mb.drain_pending(0, 1)))
-            t.start()
-            t.join(0.05)
-            assert t.is_alive() and not got
-        t.join(5)
-        assert not t.is_alive()
-        assert len(got[0]) == 1
 
 
 @settings(max_examples=50, deadline=None)

@@ -230,7 +230,7 @@ class TestCampaignSkips:
     def test_simulated_engines_never_skip(self):
         from repro.harness.campaign import build_matrix, skip_reason
 
-        for engine in (None, "cooperative", "threads", "sharded:2"):
+        for engine in (None, "cooperative", "sharded:2"):
             [s] = build_matrix(["ring"], ["testing"], ["mid_run"],
                                engine=engine, storage="memory")
             assert skip_reason(s) is None
